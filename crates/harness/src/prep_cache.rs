@@ -20,9 +20,12 @@
 //! 4. the workload registry version (`mg_workloads::REGISTRY_VERSION`),
 //! 5. the workload's stable id and its [`Input`](mg_workloads::Input)
 //!    (seed, scale),
-//! 6. the built program image's exact encoding, and
-//! 7. the candidate-enumeration size
-//!    ([`ENUMERATION_SIZE`](crate::prep::ENUMERATION_SIZE)).
+//! 6. the built program image's exact encoding,
+//! 7. the initial memory image's content hash
+//!    ([`Memory::content_hash`](mg_isa::Memory::content_hash)), and
+//! 8. the candidate-enumeration size
+//!    ([`ENUMERATION_SIZE`](crate::prep::ENUMERATION_SIZE)) and the
+//!    profiling step budget ([`STEP_BUDGET`](crate::prep::STEP_BUDGET)).
 //!
 //! to which each artifact appends its own coordinates: the wire-encoded
 //! [`Policy`] (selections), plus the [`RewriteStyle`] and the trace budget
@@ -44,10 +47,15 @@
 //! Files are named by the FNV hash of the full key, and the full key bytes
 //! are stored in each file's header and verified on load — a hash
 //! collision degrades to a miss, never to a wrong artifact. Every file
-//! ends in a whole-file FNV-1a checksum trailer, verified before any
+//! ends in a whole-file checksum trailer, hashed a word at a time
+//! ([`wire::fnv1a_words`]: 32-byte blocks over four lanes, then whole
+//! words, then the sub-word tail byte by byte) and verified before any
 //! byte reaches the payload decoder: a flipped bit that would still
 //! decode structurally (the codec cannot range-check cross-references)
-//! is a miss, never a wrong prep. Writes go to a
+//! is a miss, never a wrong prep. Traces — the bulk of every trace and
+//! image file — use `mg-profile`'s columnar codec (an `sidx` column, a
+//! flag column, mem and branch-target side columns), so a load is a
+//! checksum pass plus bulk column walks. Writes go to a
 //! unique temp file renamed into place, so concurrent writers (the
 //! engine's worker threads, or parallel CI jobs sharing a target dir)
 //! race benignly: both compute the identical artifact, last rename wins,
@@ -64,7 +72,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bump when the meaning of cached bytes changes: a new wire layout, or a
 /// behavioural change to selection, rewriting, or trace recording.
-pub const CACHE_SCHEMA_VERSION: u32 = 1;
+///
+/// History: 1 initial; 2 columnar trace codec, word-wide checksum
+/// trailer, and word-wide memory-image content hash.
+pub const CACHE_SCHEMA_VERSION: u32 = 2;
 
 /// Magic bytes opening every cache file.
 const MAGIC: &[u8; 4] = b"MGC\x01";
@@ -240,27 +251,15 @@ impl PrepCache {
             return None;
         }
         let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        if trailer != &wire::fnv1a(body).to_le_bytes()[..] {
+        if trailer != wire::fnv1a_words(body).to_le_bytes() {
             return None;
         }
-        let bytes = body;
-        let mut r = wire::Reader::new(bytes);
-        let mut magic = [0u8; 4];
-        for b in &mut magic {
-            *b = r.u8().ok()?;
-        }
-        if &magic != MAGIC || r.u8().ok()? != kind.tag() {
+        let mut r = wire::Reader::new(body);
+        if r.raw(MAGIC.len()).ok()? != MAGIC || r.u8().ok()? != kind.tag() {
             return None;
         }
         let stored_key_len = r.seq_len().ok()?;
-        if stored_key_len != key.len() {
-            return None;
-        }
-        let mut stored_key = vec![0u8; stored_key_len];
-        for b in &mut stored_key {
-            *b = r.u8().ok()?;
-        }
-        if stored_key != key {
+        if r.raw(stored_key_len).ok()? != key {
             return None; // hash collision: treat as miss
         }
         let v = T::take(&mut r).ok()?;
@@ -287,7 +286,7 @@ impl PrepCache {
         // valid but semantically wrong artifact — must be a miss, not
         // a wrong prep (or a panic deep inside selection/rewriting).
         let mut bytes = w.into_bytes();
-        let sum = wire::fnv1a(&bytes);
+        let sum = wire::fnv1a_words(&bytes);
         bytes.extend_from_slice(&sum.to_le_bytes());
         self.write_bytes(kind, key, &bytes);
         if let Some(fb) = &self.fallback {
@@ -585,8 +584,20 @@ pub fn fingerprint(
     prog: &mg_isa::Program,
     mem_hash: u64,
 ) -> u64 {
+    fingerprint_at(CACHE_SCHEMA_VERSION, workload_id, input, prog, mem_hash)
+}
+
+/// [`fingerprint`] under an explicit schema version (the key-completeness
+/// test mutates it).
+fn fingerprint_at(
+    schema: u32,
+    workload_id: &str,
+    input: &mg_workloads::Input,
+    prog: &mg_isa::Program,
+    mem_hash: u64,
+) -> u64 {
     let mut w = Writer::new();
-    w.u32(CACHE_SCHEMA_VERSION);
+    w.u32(schema);
     w.str(env!("CARGO_PKG_VERSION"));
     w.u64(wire::opcode_fingerprint());
     w.u32(mg_workloads::REGISTRY_VERSION);
@@ -743,6 +754,143 @@ mod tests {
             wire::to_bytes(&sel),
             "storing a non-greedy selection must not poison the greedy artifact"
         );
+        c.clear().unwrap();
+    }
+
+    /// Every file under `root` with its length, modification time and
+    /// inode: equal snapshots mean nothing was stored in between.
+    fn snapshot(root: &Path) -> Vec<(PathBuf, u64, Option<std::time::SystemTime>, u64)> {
+        use std::os::unix::fs::MetadataExt;
+        let mut out = Vec::new();
+        let mut dirs = vec![root.to_path_buf()];
+        while let Some(d) = dirs.pop() {
+            for e in std::fs::read_dir(&d).into_iter().flatten().flatten() {
+                let meta = e.metadata().unwrap();
+                if meta.is_dir() {
+                    dirs.push(e.path());
+                } else {
+                    out.push((e.path(), meta.len(), meta.modified().ok(), meta.ino()));
+                }
+            }
+        }
+        out.sort();
+        out
+    }
+
+    /// Key completeness, by mutation: each ingredient of the fingerprint
+    /// and each artifact coordinate, changed alone, must miss every
+    /// artifact it keys; things that are not inputs (where the root
+    /// lives, how many threads prepared it) must still hit.
+    #[test]
+    fn every_key_input_is_load_bearing_and_nothing_else_is() {
+        let c = tmp_cache("keys");
+        let w = mg_workloads::by_name("crc32").expect("registered");
+        let input = mg_workloads::Input::tiny();
+        let (prog, mem) = w.build(&input);
+        let id = w.stable_id();
+        let fp = fingerprint(&id, &input, &prog, mem.content_hash());
+        let (policy, style, budget) = (Policy::integer_memory(), RewriteStyle::NopPadded, 500);
+        let greedy = mg_core::GREEDY_SELECTOR_ID;
+        let trace = mg_profile::record_trace(&prog, &mut mem.clone(), None, budget).unwrap();
+        let img = MgImage::new(prog.clone(), trace.clone(), mg_isa::HandleCatalog::new());
+        c.store_selection(fp, &policy, &sample_selection());
+        c.store_trace(fp, budget, &trace);
+        c.store_image(fp, &policy, style, budget, &img);
+
+        // [selection, trace, image] hits under the given coordinates.
+        let hits = |c: &PrepCache, fp, sid: &str, policy: &Policy, style, budget| {
+            [
+                c.load_selection_with(fp, sid, policy).is_some(),
+                c.load_trace(fp, budget).is_some(),
+                c.load_image_with(fp, sid, policy, style, budget).is_some(),
+            ]
+        };
+        assert_eq!(hits(&c, fp, greedy, &policy, style, budget), [true; 3]);
+
+        // Fingerprint ingredients: every artifact misses.
+        let mut edited = prog.clone();
+        edited.insts.push(mg_isa::Inst::nop());
+        let mut poked = mem.clone();
+        poked.write_u8(0x7_0000, 1);
+        let reseeded = mg_workloads::Input { seed: input.seed + 1, ..input };
+        let rescaled = mg_workloads::Input { scale: input.scale + 1, ..input };
+        let mutated = [
+            ("workload id", fingerprint("mibench/other@r1", &input, &prog, mem.content_hash())),
+            ("input seed", fingerprint(&id, &reseeded, &prog, mem.content_hash())),
+            ("input scale", fingerprint(&id, &rescaled, &prog, mem.content_hash())),
+            ("program bytes", fingerprint(&id, &input, &edited, mem.content_hash())),
+            ("memory image", fingerprint(&id, &input, &prog, poked.content_hash())),
+            (
+                "schema version",
+                fingerprint_at(
+                    CACHE_SCHEMA_VERSION - 1,
+                    &id,
+                    &input,
+                    &prog,
+                    mem.content_hash(),
+                ),
+            ),
+        ];
+        for (what, f) in mutated {
+            assert_ne!(f, fp, "{what} keys the fingerprint");
+            assert_eq!(hits(&c, f, greedy, &policy, style, budget), [false; 3], "{what}");
+        }
+
+        // Artifact coordinates: exactly the artifacts they key miss.
+        let coords = [
+            (
+                "policy",
+                hits(&c, fp, greedy, &Policy::integer(), style, budget),
+                [false, true, false],
+            ),
+            (
+                "style",
+                hits(&c, fp, greedy, &policy, RewriteStyle::Compressed, budget),
+                [true, true, false],
+            ),
+            ("selector", hits(&c, fp, "tiling", &policy, style, budget), [false, true, false]),
+            (
+                "trace budget",
+                hits(&c, fp, greedy, &policy, style, budget + 1),
+                [true, false, false],
+            ),
+        ];
+        for (what, got, want) in coords {
+            assert_eq!(got, want, "{what}");
+        }
+
+        // Not inputs: a copied root hits everything.
+        let copy = tmp_cache("keys-copy");
+        for (path, ..) in snapshot(c.root()) {
+            let dest = copy.root().join(path.strip_prefix(c.root()).unwrap());
+            std::fs::create_dir_all(dest.parent().unwrap()).unwrap();
+            std::fs::copy(&path, &dest).unwrap();
+        }
+        assert_eq!(hits(&copy, fp, greedy, &policy, style, budget), [true; 3], "copied root");
+        c.clear().unwrap();
+        copy.clear().unwrap();
+
+        // Nor is the thread count: a 2-thread engine over a root a
+        // 1-thread engine filled loads every artifact and stores nothing.
+        let prepare = |threads: usize| {
+            let engine = crate::Engine::builder()
+                .workloads(&["crc32", "bitcount"])
+                .input(input)
+                .quick(true)
+                .threads(threads)
+                .cache_dir(c.root())
+                .build();
+            for p in engine.preps() {
+                p.base_trace();
+                p.image(&policy, style);
+            }
+            engine.preps().iter().map(|p| p.fingerprint()).collect::<Vec<_>>()
+        };
+        let one = prepare(1);
+        let filled = snapshot(c.root());
+        assert!(!filled.is_empty(), "the 1-thread engine stored its artifacts");
+        assert_eq!(prepare(2), one, "thread count is not a fingerprint input");
+        assert_eq!(snapshot(c.root()), filled, "the 2-thread engine hit every artifact");
         c.clear().unwrap();
     }
 

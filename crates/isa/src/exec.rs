@@ -1,14 +1,18 @@
 //! Functional (architectural) execution semantics.
 //!
-//! [`step`] executes one *fetched* instruction — which for an `mg` handle
-//! means the entire mini-graph, evaluated via its [`MgTemplate`](crate::MgTemplate) — and
-//! reports the architectural events (memory access, control transfer) the
-//! timing and profiling layers need.
+//! One interpreter loop, [`run`], executes *fetched* instructions — which
+//! for an `mg` handle means the entire mini-graph, evaluated via its
+//! [`MgTemplate`] — and reports the architectural events (memory access,
+//! control transfer, retirement) the timing and profiling layers need to a
+//! [`StepSink`]. [`step`] (one instruction, events as a [`StepInfo`]),
+//! [`run_to_halt`], and `mg-profile`'s block profile and trace recorder
+//! are that loop with different sinks; it is generic and `#[inline]`, so
+//! each caller gets a copy specialised to what its sink keeps.
 
-use crate::handle::{HandleCatalog, TmplInst, TmplOperand};
+use crate::handle::{HandleCatalog, MgTemplate, TmplOperand};
 use crate::inst::{Inst, Operand};
 use crate::mem::Memory;
-use crate::opcode::{OpClass, Opcode};
+use crate::opcode::Opcode;
 use crate::program::Program;
 use crate::reg::Reg;
 use std::error::Error;
@@ -32,11 +36,13 @@ impl CpuState {
     }
 
     /// Reads a register (the zero register always reads 0).
+    #[inline(always)]
     pub fn read(&self, r: Reg) -> u64 {
         self.regs[r.index()]
     }
 
     /// Writes a register (writes to the zero register are discarded).
+    #[inline(always)]
     pub fn write(&mut self, r: Reg, v: u64) {
         if !r.is_zero() {
             self.regs[r.index()] = v;
@@ -108,6 +114,7 @@ impl fmt::Display for ExecError {
 impl Error for ExecError {}
 
 /// Evaluates an operate-format ALU operation.
+#[inline(always)]
 pub fn alu_eval(op: Opcode, a: u64, b: u64) -> u64 {
     let sext32 = |x: u64| x as u32 as i32 as i64 as u64;
     match op {
@@ -152,6 +159,7 @@ pub fn alu_eval(op: Opcode, a: u64, b: u64) -> u64 {
 }
 
 /// Evaluates a conditional-branch test against zero.
+#[inline(always)]
 pub fn branch_taken(op: Opcode, a: u64) -> bool {
     match op {
         Opcode::Beq => a == 0,
@@ -164,6 +172,9 @@ pub fn branch_taken(op: Opcode, a: u64) -> bool {
     }
 }
 
+/// Loads a value with `op`'s width and extension (the one definition of
+/// load semantics, shared by singletons and mini-graph templates).
+#[inline(always)]
 fn load_value(op: Opcode, mem: &Memory, addr: u64) -> u64 {
     match op {
         Opcode::Ldq => mem.read_u64(addr),
@@ -174,6 +185,7 @@ fn load_value(op: Opcode, mem: &Memory, addr: u64) -> u64 {
     }
 }
 
+#[inline(always)]
 fn operand_value(state: &CpuState, o: Operand) -> u64 {
     match o {
         Operand::Reg(r) => state.read(r),
@@ -181,20 +193,64 @@ fn operand_value(state: &CpuState, o: Operand) -> u64 {
     }
 }
 
-/// Executes the handle `inst` (whose template is `tmpl`) against
-/// architectural state, returning the step events.
-fn exec_handle(
+/// Receives the architectural events of the interpreter loop ([`run`]).
+///
+/// The loop is generic over its sink and inlined into each caller, so a
+/// sink that ignores an event compiles to a loop that never builds it:
+/// the block-frequency profile counts retirements only and never
+/// materialises a [`MemRef`] or [`BrRec`].
+pub trait StepSink {
+    /// The step in progress performed a memory reference (a mini-graph
+    /// performs at most one).
+    #[inline(always)]
+    fn mem(&mut self, _mem: MemRef) {}
+
+    /// The step in progress transferred control (for a mini-graph, its
+    /// terminal branch).
+    #[inline(always)]
+    fn br(&mut self, _br: BrRec) {}
+
+    /// The instruction fetched at `pc` retired, standing for `represents`
+    /// original program instructions (1 for a singleton, the template
+    /// length for a handle, 0 for rewriter padding); `halted` if it was
+    /// `halt`. Returns whether the loop should go on to the next step.
+    fn retire(&mut self, pc: usize, represents: u32, halted: bool) -> bool;
+}
+
+/// [`step`]'s sink: collects one step's events.
+impl StepSink for StepInfo {
+    #[inline(always)]
+    fn mem(&mut self, mem: MemRef) {
+        self.mem = Some(mem);
+    }
+
+    #[inline(always)]
+    fn br(&mut self, br: BrRec) {
+        self.br = Some(br);
+    }
+
+    #[inline(always)]
+    fn retire(&mut self, _pc: usize, represents: u32, halted: bool) -> bool {
+        self.represents = represents;
+        self.halted = halted;
+        true
+    }
+}
+
+/// Executes the mini-graph template `tmpl` of the handle `inst` against
+/// architectural state, reporting its memory reference and terminal
+/// branch to `sink`; returns the next pc.
+#[inline]
+fn exec_handle<S: StepSink>(
     inst: &Inst,
-    tmpl: &[TmplInst],
-    out: Option<u8>,
+    tmpl: &MgTemplate,
     state: &mut CpuState,
     mem: &mut Memory,
-) -> StepInfo {
+    sink: &mut S,
+) -> usize {
     let e0 = state.read(inst.ra);
     let e1 = operand_value(state, inst.rb);
     let mut interior = [0u64; 16];
-    let mut mem_ref = None;
-    let mut br = None;
     let mut next_pc = state.pc + 1;
 
     let val = |interior: &[u64; 16], o: TmplOperand| -> u64 {
@@ -206,47 +262,176 @@ fn exec_handle(
         }
     };
 
-    for (i, t) in tmpl.iter().enumerate() {
-        match t.op.class() {
-            OpClass::IntAlu | OpClass::IntMul => {
-                interior[i] = alu_eval(t.op, val(&interior, t.a), val(&interior, t.b));
-            }
-            OpClass::Load => {
+    for (i, t) in tmpl.ops.iter().enumerate() {
+        match t.op {
+            Opcode::Ldq | Opcode::Ldl | Opcode::Ldwu | Opcode::Ldbu => {
                 let addr = val(&interior, t.a).wrapping_add(t.disp as u64);
                 let width = t.op.mem_width().expect("load has a width");
                 interior[i] = load_value(t.op, mem, addr);
-                mem_ref = Some(MemRef { addr, width, store: false });
+                sink.mem(MemRef { addr, width, store: false });
             }
-            OpClass::Store => {
+            Opcode::Stq | Opcode::Stl | Opcode::Stw | Opcode::Stb => {
                 let addr = val(&interior, t.b).wrapping_add(t.disp as u64);
                 let width = t.op.mem_width().expect("store has a width");
                 mem.write_uint(addr, width, val(&interior, t.a));
-                mem_ref = Some(MemRef { addr, width, store: true });
+                sink.mem(MemRef { addr, width, store: true });
             }
-            OpClass::CondBranch => {
+            Opcode::Beq
+            | Opcode::Bne
+            | Opcode::Blt
+            | Opcode::Ble
+            | Opcode::Bgt
+            | Opcode::Bge => {
                 let taken = branch_taken(t.op, val(&interior, t.a));
                 let target = inst.aux as usize;
-                br = Some(BrRec { taken, target });
+                sink.br(BrRec { taken, target });
                 if taken {
                     next_pc = target;
                 }
             }
-            OpClass::UncondBranch => {
+            Opcode::Br | Opcode::Bsr => {
                 let target = inst.aux as usize;
-                br = Some(BrRec { taken: true, target });
+                sink.br(BrRec { taken: true, target });
                 next_pc = target;
             }
-            OpClass::Jump | OpClass::Handle | OpClass::Nop | OpClass::Pad | OpClass::Halt => {
+            Opcode::Jmp
+            | Opcode::Jsr
+            | Opcode::Ret
+            | Opcode::Mg
+            | Opcode::Nop
+            | Opcode::Pad
+            | Opcode::Halt => {
                 unreachable!("illegal opcode {op} inside a mini-graph template", op = t.op)
             }
+            op => interior[i] = alu_eval(op, val(&interior, t.a), val(&interior, t.b)),
         }
     }
 
-    if let Some(o) = out {
+    if let Some(o) = tmpl.out {
         state.write(inst.rc, interior[o as usize]);
     }
-    state.pc = next_pc;
-    StepInfo { mem: mem_ref, br, represents: tmpl.len() as u32, halted: false }
+    next_pc
+}
+
+/// The interpreter loop: executes up to `max_steps` fetched instructions
+/// from `state.pc`, reporting each step's events to `sink`, until `halt`
+/// retires or the sink declines to continue. Returns whether the program
+/// halted.
+///
+/// This is the workspace's one functional-execution path: [`step`],
+/// [`run_to_halt`], and the profiling and trace-recording passes in
+/// `mg-profile` are all this loop with different sinks. Each iteration is
+/// a single `match` on the [`Opcode`]: operands are read before it, and
+/// each arm does its opcode's whole work. Arms share the one definition of
+/// each semantic ([`alu_eval`], [`branch_taken`], loads, [`Memory`]
+/// widths) through `#[inline(always)]` helpers that fold into the
+/// dispatch. Handles are expanded via `catalog`; passing `None` is fine
+/// for programs with no handles.
+///
+/// # Errors
+///
+/// * [`ExecError::PcOutOfRange`] if the pc leaves the program.
+/// * [`ExecError::MissingCatalog`] / [`ExecError::UnknownMgid`] for handle
+///   lookups that cannot be satisfied.
+///
+/// On error, `state` is left at the failing instruction.
+#[inline]
+pub fn run<S: StepSink>(
+    prog: &Program,
+    state: &mut CpuState,
+    mem: &mut Memory,
+    catalog: Option<&HandleCatalog>,
+    max_steps: u64,
+    sink: &mut S,
+) -> Result<bool, ExecError> {
+    for _ in 0..max_steps {
+        let pc = state.pc;
+        let inst = prog.insts.get(pc).ok_or(ExecError::PcOutOfRange(pc))?;
+        let a = state.read(inst.ra);
+        let b = operand_value(state, inst.rb);
+        let ea = a.wrapping_add(inst.disp as u64);
+        let mut next_pc = pc + 1;
+        let mut represents = 1;
+        let mut halted = false;
+        match inst.op {
+            Opcode::Ldq => {
+                state.write(inst.rc, load_value(Opcode::Ldq, mem, ea));
+                sink.mem(MemRef { addr: ea, width: 8, store: false });
+            }
+            Opcode::Ldl => {
+                state.write(inst.rc, load_value(Opcode::Ldl, mem, ea));
+                sink.mem(MemRef { addr: ea, width: 4, store: false });
+            }
+            Opcode::Ldwu => {
+                state.write(inst.rc, load_value(Opcode::Ldwu, mem, ea));
+                sink.mem(MemRef { addr: ea, width: 2, store: false });
+            }
+            Opcode::Ldbu => {
+                state.write(inst.rc, load_value(Opcode::Ldbu, mem, ea));
+                sink.mem(MemRef { addr: ea, width: 1, store: false });
+            }
+            Opcode::Stq => {
+                mem.write_uint(ea, 8, b);
+                sink.mem(MemRef { addr: ea, width: 8, store: true });
+            }
+            Opcode::Stl => {
+                mem.write_uint(ea, 4, b);
+                sink.mem(MemRef { addr: ea, width: 4, store: true });
+            }
+            Opcode::Stw => {
+                mem.write_uint(ea, 2, b);
+                sink.mem(MemRef { addr: ea, width: 2, store: true });
+            }
+            Opcode::Stb => {
+                mem.write_uint(ea, 1, b);
+                sink.mem(MemRef { addr: ea, width: 1, store: true });
+            }
+            Opcode::Beq
+            | Opcode::Bne
+            | Opcode::Blt
+            | Opcode::Ble
+            | Opcode::Bgt
+            | Opcode::Bge => {
+                let taken = branch_taken(inst.op, a);
+                let target = inst.disp as usize;
+                sink.br(BrRec { taken, target });
+                if taken {
+                    next_pc = target;
+                }
+            }
+            Opcode::Br | Opcode::Bsr => {
+                state.write(inst.rc, (pc + 1) as u64);
+                next_pc = inst.disp as usize;
+                sink.br(BrRec { taken: true, target: next_pc });
+            }
+            Opcode::Jmp | Opcode::Jsr | Opcode::Ret => {
+                state.write(inst.rc, (pc + 1) as u64);
+                next_pc = a as usize;
+                sink.br(BrRec { taken: true, target: next_pc });
+            }
+            Opcode::Mg => {
+                let catalog = catalog.ok_or(ExecError::MissingCatalog)?;
+                let mgid = inst.disp as u32;
+                let tmpl = catalog.get(mgid).ok_or(ExecError::UnknownMgid(mgid))?;
+                next_pc = exec_handle(inst, tmpl, state, mem, sink);
+                represents = tmpl.ops.len() as u32;
+            }
+            Opcode::Nop => {}
+            // Rewriter padding: squashed at fetch, represents nothing.
+            Opcode::Pad => represents = 0,
+            Opcode::Halt => {
+                halted = true;
+                next_pc = pc;
+                state.halted = true;
+            }
+            op => state.write(inst.rc, alu_eval(op, a, b)),
+        }
+        state.pc = next_pc;
+        if !sink.retire(pc, represents, halted) || halted {
+            return Ok(halted);
+        }
+    }
+    Ok(false)
 }
 
 /// Executes one fetched instruction at `state.pc`.
@@ -265,68 +450,8 @@ pub fn step(
     mem: &mut Memory,
     catalog: Option<&HandleCatalog>,
 ) -> Result<StepInfo, ExecError> {
-    let pc = state.pc;
-    let inst = prog.insts.get(pc).ok_or(ExecError::PcOutOfRange(pc))?;
     let mut info = StepInfo { mem: None, br: None, represents: 1, halted: false };
-
-    match inst.op.class() {
-        OpClass::IntAlu | OpClass::IntMul => {
-            let a = state.read(inst.ra);
-            let b = operand_value(state, inst.rb);
-            state.write(inst.rc, alu_eval(inst.op, a, b));
-            state.pc = pc + 1;
-        }
-        OpClass::Load => {
-            let addr = state.read(inst.ra).wrapping_add(inst.disp as u64);
-            let width = inst.op.mem_width().expect("load has a width");
-            state.write(inst.rc, load_value(inst.op, mem, addr));
-            info.mem = Some(MemRef { addr, width, store: false });
-            state.pc = pc + 1;
-        }
-        OpClass::Store => {
-            let addr = state.read(inst.ra).wrapping_add(inst.disp as u64);
-            let width = inst.op.mem_width().expect("store has a width");
-            mem.write_uint(addr, width, operand_value(state, inst.rb));
-            info.mem = Some(MemRef { addr, width, store: true });
-            state.pc = pc + 1;
-        }
-        OpClass::CondBranch => {
-            let taken = branch_taken(inst.op, state.read(inst.ra));
-            let target = inst.disp as usize;
-            info.br = Some(BrRec { taken, target });
-            state.pc = if taken { target } else { pc + 1 };
-        }
-        OpClass::UncondBranch => {
-            state.write(inst.rc, (pc + 1) as u64);
-            let target = inst.disp as usize;
-            info.br = Some(BrRec { taken: true, target });
-            state.pc = target;
-        }
-        OpClass::Jump => {
-            let target = state.read(inst.ra) as usize;
-            state.write(inst.rc, (pc + 1) as u64);
-            info.br = Some(BrRec { taken: true, target });
-            state.pc = target;
-        }
-        OpClass::Handle => {
-            let catalog = catalog.ok_or(ExecError::MissingCatalog)?;
-            let mgid = inst.mgid().expect("handle has an MGID");
-            let tmpl = catalog.get(mgid).ok_or(ExecError::UnknownMgid(mgid))?;
-            info = exec_handle(inst, &tmpl.ops, tmpl.out, state, mem);
-        }
-        OpClass::Nop => {
-            state.pc = pc + 1;
-        }
-        OpClass::Pad => {
-            // Rewriter padding: squashed at fetch, represents nothing.
-            info.represents = 0;
-            state.pc = pc + 1;
-        }
-        OpClass::Halt => {
-            info.halted = true;
-            state.halted = true;
-        }
-    }
+    run(prog, state, mem, catalog, 1, &mut info)?;
     Ok(info)
 }
 
@@ -335,7 +460,7 @@ pub fn step(
 ///
 /// # Errors
 ///
-/// Propagates [`step`] errors, and returns [`ExecError::StepLimit`] if more
+/// Propagates [`run`] errors, and returns [`ExecError::StepLimit`] if more
 /// than `max_steps` fetched instructions execute without halting.
 pub fn run_to_halt(
     prog: &Program,
@@ -344,22 +469,27 @@ pub fn run_to_halt(
     catalog: Option<&HandleCatalog>,
     max_steps: u64,
 ) -> Result<u64, ExecError> {
-    let mut executed = 0u64;
-    for _ in 0..max_steps {
-        let info = step(prog, state, mem, catalog)?;
-        executed += info.represents as u64;
-        if info.halted {
-            return Ok(executed);
+    struct Count(u64);
+    impl StepSink for Count {
+        #[inline(always)]
+        fn retire(&mut self, _pc: usize, represents: u32, _halted: bool) -> bool {
+            self.0 += represents as u64;
+            true
         }
     }
-    Err(ExecError::StepLimit(max_steps))
+    let mut executed = Count(0);
+    if run(prog, state, mem, catalog, max_steps, &mut executed)? {
+        Ok(executed.0)
+    } else {
+        Err(ExecError::StepLimit(max_steps))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::asm::Asm;
-    use crate::handle::MgTemplate;
+    use crate::handle::TmplInst;
     use crate::reg::reg;
 
     fn run(asm: Asm) -> (CpuState, Memory) {

@@ -1,15 +1,58 @@
 //! Sparse paged byte-addressable memory.
+//!
+//! Memory is a map from 4 KiB page numbers to boxed pages. Functional
+//! execution (`exec`) touches it on every load and store, so the access
+//! paths are shaped for that loop:
+//!
+//! * a word access (`read/write_u16/u32/u64`) that stays inside one page
+//!   costs one page lookup and one slice copy; only a page-straddling
+//!   access takes the chunked byte path ([`Memory::read_bytes`] /
+//!   [`Memory::write_bytes`], which walk one page at a time);
+//! * the page table hashes page numbers with a fixed multiplicative
+//!   hasher instead of SipHash — the keys are program addresses, not
+//!   attacker-chosen input.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 
+type Page = Box<[u8; PAGE_SIZE]>;
+
+/// A fixed multiplicative (Fibonacci) hasher for page numbers.
+///
+/// The page table is keyed by `u64` page numbers only, so the hasher sees
+/// exactly one `write_u64` per lookup. Multiplying by an odd constant is a
+/// bijection whose low bits (the bucket index) differ for consecutive
+/// pages and whose high bits (the table's tag byte) mix every input bit.
+#[derive(Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+}
+
 /// A sparse, little-endian, byte-addressable memory.
 ///
 /// Pages are allocated on first touch; reads of untouched memory return
-/// zero. Accesses may straddle page boundaries.
+/// zero. Accesses may straddle page boundaries, and addresses wrap at
+/// `u64::MAX`.
 ///
 /// ```
 /// use mg_isa::Memory;
@@ -21,7 +64,7 @@ const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 /// ```
 #[derive(Clone, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: HashMap<u64, Page, BuildHasherDefault<PageHasher>>,
 }
 
 impl Memory {
@@ -35,15 +78,45 @@ impl Memory {
         self.pages.len()
     }
 
+    #[inline]
     fn page(&self, addr: u64) -> Option<&[u8; PAGE_SIZE]> {
         self.pages.get(&(addr >> PAGE_SHIFT)).map(|b| &**b)
     }
 
+    #[inline]
     fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE] {
         self.pages.entry(addr >> PAGE_SHIFT).or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
     }
 
+    /// Reads an `N`-byte little-endian word: one page lookup when the
+    /// word lies inside a page, the chunked byte path when it straddles.
+    #[inline]
+    fn read_word<const N: usize>(&self, addr: u64) -> [u8; N] {
+        let mut b = [0u8; N];
+        let off = (addr & PAGE_MASK) as usize;
+        if off + N <= PAGE_SIZE {
+            if let Some(p) = self.page(addr) {
+                b.copy_from_slice(&p[off..off + N]);
+            }
+        } else {
+            self.read_bytes(addr, &mut b);
+        }
+        b
+    }
+
+    /// Writes an `N`-byte word; the mirror of [`Memory::read_word`].
+    #[inline]
+    fn write_word<const N: usize>(&mut self, addr: u64, b: [u8; N]) {
+        let off = (addr & PAGE_MASK) as usize;
+        if off + N <= PAGE_SIZE {
+            self.page_mut(addr)[off..off + N].copy_from_slice(&b);
+        } else {
+            self.write_bytes(addr, &b);
+        }
+    }
+
     /// Reads one byte.
+    #[inline]
     pub fn read_u8(&self, addr: u64) -> u8 {
         match self.page(addr) {
             Some(p) => p[(addr & PAGE_MASK) as usize],
@@ -52,63 +125,81 @@ impl Memory {
     }
 
     /// Writes one byte.
+    #[inline]
     pub fn write_u8(&mut self, addr: u64, val: u8) {
         self.page_mut(addr)[(addr & PAGE_MASK) as usize] = val;
     }
 
-    /// Reads `buf.len()` bytes starting at `addr`.
-    pub fn read_bytes(&self, addr: u64, buf: &mut [u8]) {
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = self.read_u8(addr.wrapping_add(i as u64));
+    /// Reads `buf.len()` bytes starting at `addr`, one page chunk at a
+    /// time (untouched pages read as zero; addresses wrap at `u64::MAX`).
+    pub fn read_bytes(&self, mut addr: u64, buf: &mut [u8]) {
+        let mut done = 0;
+        while done < buf.len() {
+            let off = (addr & PAGE_MASK) as usize;
+            let n = (PAGE_SIZE - off).min(buf.len() - done);
+            let chunk = &mut buf[done..done + n];
+            match self.page(addr) {
+                Some(p) => chunk.copy_from_slice(&p[off..off + n]),
+                None => chunk.fill(0),
+            }
+            done += n;
+            addr = addr.wrapping_add(n as u64);
         }
     }
 
-    /// Writes `buf` starting at `addr`.
-    pub fn write_bytes(&mut self, addr: u64, buf: &[u8]) {
-        for (i, &b) in buf.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), b);
+    /// Writes `buf` starting at `addr`, one page chunk at a time.
+    pub fn write_bytes(&mut self, mut addr: u64, buf: &[u8]) {
+        let mut done = 0;
+        while done < buf.len() {
+            let off = (addr & PAGE_MASK) as usize;
+            let n = (PAGE_SIZE - off).min(buf.len() - done);
+            self.page_mut(addr)[off..off + n].copy_from_slice(&buf[done..done + n]);
+            done += n;
+            addr = addr.wrapping_add(n as u64);
         }
     }
 
     /// Reads a little-endian `u16`.
+    #[inline]
     pub fn read_u16(&self, addr: u64) -> u16 {
-        let mut b = [0u8; 2];
-        self.read_bytes(addr, &mut b);
-        u16::from_le_bytes(b)
+        u16::from_le_bytes(self.read_word(addr))
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn read_u32(&self, addr: u64) -> u32 {
-        let mut b = [0u8; 4];
-        self.read_bytes(addr, &mut b);
-        u32::from_le_bytes(b)
+        u32::from_le_bytes(self.read_word(addr))
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn read_u64(&self, addr: u64) -> u64 {
-        let mut b = [0u8; 8];
-        self.read_bytes(addr, &mut b);
-        u64::from_le_bytes(b)
+        u64::from_le_bytes(self.read_word(addr))
     }
 
     /// Writes a little-endian `u16`.
+    #[inline]
     pub fn write_u16(&mut self, addr: u64, val: u16) {
-        self.write_bytes(addr, &val.to_le_bytes());
+        self.write_word(addr, val.to_le_bytes());
     }
 
     /// Writes a little-endian `u32`.
+    #[inline]
     pub fn write_u32(&mut self, addr: u64, val: u32) {
-        self.write_bytes(addr, &val.to_le_bytes());
+        self.write_word(addr, val.to_le_bytes());
     }
 
     /// Writes a little-endian `u64`.
+    #[inline]
     pub fn write_u64(&mut self, addr: u64, val: u64) {
-        self.write_bytes(addr, &val.to_le_bytes());
+        self.write_word(addr, val.to_le_bytes());
     }
 
-    /// A deterministic FNV-1a hash of the memory *contents*: resident
-    /// pages in ascending address order, all-zero pages skipped (so a
-    /// touched-but-zero page hashes identically to an untouched one).
+    /// A deterministic hash of the memory *contents*: resident pages in
+    /// ascending address order, all-zero pages skipped (so a
+    /// touched-but-zero page hashes identically to an untouched one),
+    /// each page number and page folded a word at a time
+    /// ([`fnv1a_words_extend`](crate::wire::fnv1a_words_extend)).
     /// The artifact cache folds this into a workload's fingerprint to
     /// invalidate cached selections/traces when only the initial data
     /// image changes.
@@ -118,11 +209,11 @@ impl Memory {
         let mut h = crate::wire::FNV_OFFSET_BASIS;
         for idx in indices {
             let page = &self.pages[&idx];
-            if page.iter().all(|&b| b == 0) {
+            if page.chunks_exact(8).all(|w| w == [0u8; 8]) {
                 continue;
             }
-            h = crate::wire::fnv1a_extend(h, &idx.to_le_bytes());
-            h = crate::wire::fnv1a_extend(h, &page[..]);
+            h = crate::wire::fnv1a_words_extend(h, &idx.to_le_bytes());
+            h = crate::wire::fnv1a_words_extend(h, &page[..]);
         }
         h
     }
@@ -132,6 +223,7 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if `width` is not 1, 2, 4, or 8.
+    #[inline]
     pub fn read_uint(&self, addr: u64, width: u8) -> u64 {
         match width {
             1 => self.read_u8(addr) as u64,
@@ -147,6 +239,7 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if `width` is not 1, 2, 4, or 8.
+    #[inline]
     pub fn write_uint(&mut self, addr: u64, width: u8, val: u64) {
         match width {
             1 => self.write_u8(addr, val as u8),

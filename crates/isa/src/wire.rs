@@ -17,8 +17,12 @@
 //! [`Opcode`]s are encoded as their declaration index in [`Opcode::ALL`];
 //! the opcode-set fingerprint ([`opcode_fingerprint`]) keyed into every
 //! cache file invalidates stale indices when the instruction set changes.
+//!
+//! Two hashes live here. Byte-wise FNV-1a ([`fnv1a`]) names cache files,
+//! hashes cache keys, places keys on the cluster ring, and seeds fault
+//! plans; the word-wide [`fnv1a_words`] is the bulk checksum (cache-file
+//! trailers, memory-image content hashes), eight bytes per step.
 
-use crate::exec::{BrRec, MemRef};
 use crate::handle::{HandleCatalog, MgTemplate, TmplInst, TmplOperand};
 use crate::inst::{Inst, Operand};
 use crate::opcode::Opcode;
@@ -140,7 +144,9 @@ impl<'a> Reader<'a> {
         self.remaining() == 0
     }
 
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    /// Reads `n` raw bytes (no length prefix) as one borrowed slice: the
+    /// bulk path for fixed-width columns.
+    pub fn raw(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated);
         }
@@ -151,22 +157,22 @@ impl<'a> Reader<'a> {
 
     /// Reads one raw byte.
     pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.bytes(1)?[0])
+        Ok(self.raw(1)?[0])
     }
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(self.raw(4)?.try_into().expect("4 bytes")))
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(self.raw(8)?.try_into().expect("8 bytes")))
     }
 
     /// Reads a little-endian `i64`.
     pub fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.bytes(8)?.try_into().expect("8 bytes")))
+        Ok(i64::from_le_bytes(self.raw(8)?.try_into().expect("8 bytes")))
     }
 
     /// Reads a sequence length written by [`Writer::u64`], bounds-checked.
@@ -181,7 +187,7 @@ impl<'a> Reader<'a> {
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, WireError> {
         let n = self.seq_len()?;
-        let bytes = self.bytes(n)?;
+        let bytes = self.raw(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
     }
 }
@@ -503,27 +509,6 @@ impl Wire for HandleCatalog {
     }
 }
 
-impl Wire for MemRef {
-    fn put(&self, w: &mut Writer) {
-        w.u64(self.addr);
-        w.u8(self.width);
-        self.store.put(w);
-    }
-    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(MemRef { addr: r.u64()?, width: r.u8()?, store: bool::take(r)? })
-    }
-}
-
-impl Wire for BrRec {
-    fn put(&self, w: &mut Writer) {
-        self.taken.put(w);
-        self.target.put(w);
-    }
-    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(BrRec { taken: bool::take(r)?, target: usize::take(r)? })
-    }
-}
-
 /// Magic bytes opening every stream frame (see [`write_frame`]).
 pub const FRAME_MAGIC: &[u8; 4] = b"MGF\x01";
 
@@ -596,9 +581,59 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// The FNV 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Word-wide FNV-style hash: the checksum trailer of every artifact-cache
+/// file and the page fold of [`Memory::content_hash`](crate::Memory::content_hash).
+/// `fnv1a_words(x) == fnv1a_words_extend(FNV_OFFSET_BASIS, x)`.
+pub fn fnv1a_words(bytes: &[u8]) -> u64 {
+    fnv1a_words_extend(FNV_OFFSET_BASIS, bytes)
+}
+
+/// Folds `bytes` into a running word-wide hash state.
+///
+/// 32-byte blocks feed four independent lanes (one little-endian `u64`
+/// each), so the multiply chains overlap instead of serialising; the
+/// lanes then fold into the state, followed by any remaining whole words
+/// and, byte by byte ([`fnv1a_extend`]), the sub-word tail. Each step
+/// — xor a word, multiply by the FNV prime, xor-shift the high half down
+/// — is a bijection of the state, so changing any single input word (in
+/// particular, flipping any one bit) always changes the result, and the
+/// xor-shift carries high-bit differences into the low bits the next
+/// multiply spreads upward again.
+///
+/// Not cryptographic, and deliberately distinct from [`fnv1a`], which
+/// keeps naming cache files, placing keys on the cluster ring, and
+/// seeding fault plans.
+pub fn fnv1a_words_extend(h: u64, bytes: &[u8]) -> u64 {
+    #[inline(always)]
+    fn step(h: u64, w: u64) -> u64 {
+        let h = (h ^ w).wrapping_mul(FNV_PRIME);
+        h ^ (h >> 32)
+    }
+    #[inline(always)]
+    fn word(b: &[u8]) -> u64 {
+        u64::from_le_bytes(b.try_into().expect("8-byte chunk"))
+    }
+    let mut lanes = [h, h ^ 1, h ^ 2, h ^ 3];
+    let mut blocks = bytes.chunks_exact(32);
+    for b in &mut blocks {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            *lane = step(*lane, word(&b[8 * i..8 * i + 8]));
+        }
+    }
+    let mut h = lanes.into_iter().fold(h, step);
+    let mut words = blocks.remainder().chunks_exact(8);
+    for w in &mut words {
+        h = step(h, word(w));
+    }
+    fnv1a_extend(h, words.remainder())
 }
 
 /// A fingerprint of the instruction set: hashes every mnemonic in
@@ -646,8 +681,6 @@ mod tests {
         round_trip(&Operand::Reg(reg(4)));
         round_trip(&Operand::Imm(-12345));
         round_trip(&Inst::handle(reg(1), reg(2), reg(3), 99, Some(7)));
-        round_trip(&MemRef { addr: 0x8000, width: 8, store: true });
-        round_trip(&BrRec { taken: false, target: 12 });
     }
 
     #[test]
@@ -756,6 +789,26 @@ mod tests {
         write_frame(&mut trailing, &vec![0u8; 4]).unwrap();
         let mut r = &trailing[..];
         assert_eq!(read_frame::<u8>(&mut r).unwrap_err().kind(), ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn word_hash_catches_every_single_bit_flip() {
+        // Lengths 0..80 cover every lane position, whole-word remainder
+        // and sub-word tail length of the block layout.
+        for len in 0..80usize {
+            let buf: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(37) ^ 0x5a).collect();
+            let h = fnv1a_words(&buf);
+            for pos in 0..len {
+                for bit in 0..8 {
+                    let mut b = buf.clone();
+                    b[pos] ^= 1 << bit;
+                    assert_ne!(fnv1a_words(&b), h, "len {len}: flip of bit {bit} at {pos}");
+                }
+            }
+            let mut longer = buf.clone();
+            longer.push(0);
+            assert_ne!(fnv1a_words(&longer), h, "len {len}: appended zero byte");
+        }
     }
 
     #[test]

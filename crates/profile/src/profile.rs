@@ -1,7 +1,7 @@
 //! Basic-block frequency profiling (the input to mini-graph selection).
 
 use crate::cfg::{BasicBlock, Cfg};
-use mg_isa::exec::{step, CpuState, ExecError};
+use mg_isa::exec::{run, CpuState, ExecError, StepSink};
 use mg_isa::{HandleCatalog, Memory, Program};
 
 /// Per-instruction and per-block execution frequencies gathered by
@@ -44,19 +44,24 @@ pub fn profile_program(
     catalog: Option<&HandleCatalog>,
     max_steps: u64,
 ) -> Result<BlockProfile, ExecError> {
-    let mut cpu = CpuState::new(prog.entry);
-    let mut inst_counts = vec![0u64; prog.len()];
-    let mut total = 0u64;
-    for _ in 0..max_steps {
-        let pc = cpu.pc;
-        let info = step(prog, &mut cpu, mem, catalog)?;
-        inst_counts[pc] += 1;
-        total += info.represents as u64;
-        if info.halted {
-            return Ok(BlockProfile { inst_counts, total });
+    /// Counts retirements only: the interpreter loop never builds the
+    /// memory and branch events this pass has no use for.
+    struct Counter(BlockProfile);
+    impl StepSink for Counter {
+        #[inline(always)]
+        fn retire(&mut self, pc: usize, represents: u32, _halted: bool) -> bool {
+            self.0.inst_counts[pc] += 1;
+            self.0.total += represents as u64;
+            true
         }
     }
-    Err(ExecError::StepLimit(max_steps))
+    let mut cpu = CpuState::new(prog.entry);
+    let mut counter = Counter(BlockProfile { inst_counts: vec![0u64; prog.len()], total: 0 });
+    if run(prog, &mut cpu, mem, catalog, max_steps, &mut counter)? {
+        Ok(counter.0)
+    } else {
+        Err(ExecError::StepLimit(max_steps))
+    }
 }
 
 #[cfg(test)]

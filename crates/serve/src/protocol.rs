@@ -35,8 +35,10 @@ use mg_isa::wire::{Reader, Wire, WireError, Writer};
 ///
 /// History: v1 initial; v2 added `RunRequest::no_fuse`; v3 added
 /// [`Response::Expired`], the `drain` flag on [`Request::Shutdown`], and
-/// downward negotiation to [`MIN_PROTOCOL_VERSION`].
-pub const PROTOCOL_VERSION: u32 = 3;
+/// downward negotiation to [`MIN_PROTOCOL_VERSION`]; v4 pairs with cache
+/// schema 2 (columnar trace codec, word-wide checksum) and changes no
+/// frame layout.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Oldest client version the server still speaks (see the module docs'
 /// versioning section). Clients older than this are rejected with an

@@ -94,15 +94,3 @@ pub fn simulate_with(
 ) -> SimStats {
     Simulator::with_predecode(cfg.clone(), prog, trace, catalog, Arc::clone(predecode)).run()
 }
-
-/// Prints the stage-attribution timers (perf tuning builds only).
-#[cfg(feature = "stagetime")]
-pub fn pipeline_stagetime_report() {
-    pipeline::stagetime::report();
-}
-
-/// Zeroes the stage-attribution timers (perf tuning builds only).
-#[cfg(feature = "stagetime")]
-pub fn pipeline_stagetime_reset() {
-    pipeline::stagetime::reset();
-}

@@ -111,17 +111,6 @@ impl Simulator<'_> {
         caps: &[u16; 4],
         intmem_handles: &mut u32,
     ) -> u32 {
-        #[cfg(feature = "stagetime")]
-        macro_rules! count {
-            ($i:expr) => {
-                super::stagetime::add($i, 1)
-            };
-        }
-        #[cfg(not(feature = "stagetime"))]
-        macro_rules! count {
-            ($i:expr) => {};
-        }
-        count!(8);
         // Operand readiness (including the scheduler-loop latency
         // already folded into preg_ready at the producer's issue).
         let srcs = [self.rob.src0[slot], self.rob.src1[slot]];
@@ -162,7 +151,6 @@ impl Simulator<'_> {
                 debug_assert!(list.len() < list.capacity(), "waiter list overflow");
                 list.push(packed);
             }
-            count!(9);
             return 0;
         }
         // Store-set ordering: loads wait for their predicted store. The
@@ -173,7 +161,6 @@ impl Simulator<'_> {
             let wslot = (ws & 0xFFFF) as usize;
             let wseq = ws >> 16;
             if self.rob.is_live(wslot, wseq) && bit_get(&self.rob.unissued, wslot) {
-                count!(10);
                 return 0;
             }
         }
@@ -262,7 +249,6 @@ impl Simulator<'_> {
             // window — both functions of `now`, so the next cycle must
             // actually be simulated (no idle skip).
             self.retry_next_cycle = true;
-            count!(11);
             return 0;
         }
 
@@ -278,7 +264,6 @@ impl Simulator<'_> {
                 // per-attempt upper bounds within one cycle; skipping
                 // here only under-uses the FU this cycle.
                 self.retry_next_cycle = true;
-                count!(12);
                 return 0;
             }
             self.resv_wb[r] += 1;
@@ -334,7 +319,6 @@ impl Simulator<'_> {
         // squash younger entries; this slot is always older than any
         // victim, so it survives).
         self.issue_memory_effects(slot);
-        count!(13);
         1
     }
 

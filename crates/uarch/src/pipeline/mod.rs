@@ -28,52 +28,6 @@
 //! in lockstep over shared, cache-resident trace and predecode state
 //! (fused sweeps) while producing bit-identical statistics.
 
-#[cfg(feature = "stagetime")]
-#[allow(missing_docs)]
-pub mod stagetime {
-    //! Temporary rdtsc-based stage cost attribution (perf tuning only).
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-    pub static BUCKETS: [AtomicU64; 16] = [const { AtomicU64::new(0) }; 16];
-    pub const NAMES: [&str; 16] = [
-        "commit",
-        "events",
-        "wakes",
-        "issue",
-        "dispatch",
-        "fetch",
-        "cycle-misc",
-        "cycles",
-        "i.park",
-        "i.wsblock",
-        "i.denied",
-        "i.pre",
-        "i.lat",
-        "i.memfx",
-        "n.park",
-        "n.issue",
-    ];
-    #[inline(always)]
-    pub fn stamp() -> u64 {
-        unsafe { core::arch::x86_64::_rdtsc() }
-    }
-    #[inline(always)]
-    pub fn add(i: usize, dt: u64) {
-        BUCKETS[i].fetch_add(dt, Relaxed);
-    }
-    pub fn report() {
-        let cycles = BUCKETS[7].load(Relaxed).max(1);
-        for (n, b) in NAMES.iter().zip(&BUCKETS) {
-            let v = b.load(Relaxed);
-            println!("  {n:10} {v:>14} tsc  {:>8.1} tsc/cyc", v as f64 / cycles as f64);
-        }
-    }
-    pub fn reset() {
-        for b in &BUCKETS {
-            b.store(0, Relaxed);
-        }
-    }
-}
-
 pub(crate) mod commit;
 pub mod decode;
 pub(crate) mod entries;
@@ -312,32 +266,12 @@ impl<'a> Simulator<'a> {
                 self.stats.stall_iq,
                 self.stats.stall_lsq,
             ];
-            #[cfg(feature = "stagetime")]
-            let mut t0 = stagetime::stamp();
-            #[cfg(feature = "stagetime")]
-            macro_rules! lap {
-                ($i:expr) => {{
-                    let t1 = stagetime::stamp();
-                    stagetime::add($i, t1 - t0);
-                    t0 = t1;
-                }};
-            }
-            #[cfg(not(feature = "stagetime"))]
-            macro_rules! lap {
-                ($i:expr) => {};
-            }
             self.commit();
-            lap!(0);
             self.process_events();
-            lap!(1);
             self.deliver_wakes();
-            lap!(2);
             self.issue();
-            lap!(3);
             self.dispatch();
-            lap!(4);
             self.fetch(self.limit);
-            lap!(5);
             self.stats.preg_occupancy_sum += self.renamer.in_use() as u64;
             self.stats.iq_occupancy_sum += self.iq_used as u64;
             self.stats.rob_occupancy_sum += self.rob.len() as u64;
@@ -356,9 +290,6 @@ impl<'a> Simulator<'a> {
             );
             #[cfg(debug_assertions)]
             crate::allocwatch::check(alloc_mark);
-            lap!(6);
-            #[cfg(feature = "stagetime")]
-            stagetime::add(7, 1);
             // Idle-cycle skipping: a cycle that changed nothing would be
             // followed by identical empty cycles until the next wake-up
             // (completion event, operand-ready bound, front-queue ready
