@@ -30,7 +30,6 @@ use std::sync::Arc;
 /// Configures and builds a [`Session`]. See [`Session::builder`].
 pub struct SessionBuilder {
     quick: Option<bool>,
-    fuse: Option<bool>,
     threads: Option<usize>,
     trace_budget: Option<u64>,
     cache_dir: Option<PathBuf>,
@@ -45,7 +44,6 @@ impl SessionBuilder {
     fn new() -> SessionBuilder {
         SessionBuilder {
             quick: None,
-            fuse: None,
             threads: None,
             trace_budget: None,
             cache_dir: None,
@@ -62,15 +60,6 @@ impl SessionBuilder {
     /// [`RunSpec`]).
     pub fn quick(mut self, quick: bool) -> SessionBuilder {
         self.quick = Some(quick);
-        self
-    }
-
-    /// Forces fused sweep execution on or off for every run of the
-    /// session (default: on unless `MG_NO_FUSE` is set; overridable per
-    /// [`RunSpec`]). Purely a throughput switch — results are
-    /// bit-identical either way.
-    pub fn fuse(mut self, fuse: bool) -> SessionBuilder {
-        self.fuse = Some(fuse);
         self
     }
 
@@ -164,7 +153,6 @@ impl SessionBuilder {
         }
         Session {
             quick: self.quick,
-            fuse: self.fuse,
             threads: self.threads,
             trace_budget: self.trace_budget,
             cache_dir: self.cache_dir,
@@ -181,7 +169,6 @@ impl SessionBuilder {
 #[derive(Clone)]
 pub struct Session {
     quick: Option<bool>,
-    fuse: Option<bool>,
     threads: Option<usize>,
     trace_budget: Option<u64>,
     cache_dir: Option<PathBuf>,
@@ -196,7 +183,6 @@ impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
             .field("quick", &self.quick)
-            .field("fuse", &self.fuse)
             .field("threads", &self.threads)
             .field("trace_budget", &self.trace_budget)
             .field("cache_dir", &self.cache_dir)
@@ -244,11 +230,6 @@ impl Session {
         self.quick
     }
 
-    /// The session-wide fused-sweep override, if any.
-    pub fn fuse(&self) -> Option<bool> {
-        self.fuse
-    }
-
     /// The session-wide thread bound, if any.
     pub fn threads(&self) -> Option<usize> {
         self.threads
@@ -284,9 +265,6 @@ impl Session {
         }
         if let Some(q) = self.quick {
             b = b.quick(q);
-        }
-        if let Some(fu) = self.fuse {
-            b = b.fuse(fu);
         }
         if let Some(t) = self.threads {
             b = b.threads(t);
@@ -440,9 +418,6 @@ impl Session {
         let mut b = self.engine_builder().input(input);
         if let Some(q) = spec.quick {
             b = b.quick(q);
-        }
-        if let Some(fu) = spec.fuse {
-            b = b.fuse(fu);
         }
         b = match &spec.workloads {
             WorkloadSelector::All => b,

@@ -124,10 +124,6 @@ pub struct RunSpec {
     pub input: InputSelector,
     /// Per-spec quick-mode override (`None` inherits the session).
     pub quick: Option<bool>,
-    /// Per-spec fused-sweep override (`None` inherits the session /
-    /// `MG_NO_FUSE` default). Purely a throughput switch: results are
-    /// bit-identical either way.
-    pub fuse: Option<bool>,
     /// The matrix columns, in order. Must be non-empty.
     pub cells: Vec<CellSpec>,
 }
@@ -140,7 +136,6 @@ impl RunSpec {
             workloads: WorkloadSelector::All,
             input: InputSelector::reference(),
             quick: None,
-            fuse: None,
             cells: Vec::new(),
         }
     }
@@ -160,13 +155,6 @@ impl RunSpec {
     /// Overrides quick mode for this spec.
     pub fn quick(mut self, quick: bool) -> RunSpec {
         self.quick = Some(quick);
-        self
-    }
-
-    /// Overrides fused sweep execution for this spec (see
-    /// [`mg_harness::fused`]).
-    pub fn fuse(mut self, fuse: bool) -> RunSpec {
-        self.fuse = Some(fuse);
         self
     }
 

@@ -96,13 +96,17 @@ fn bench_fig8(c: &mut Criterion) {
     let policy = Policy::integer_memory();
     c.bench_function("fig8/reduced_resources", |b| {
         b.iter(|| {
-            let small = p.run_policy(
-                &policy,
-                RewriteStyle::NopPadded,
-                &quick(SimConfig::mg_integer_memory().with_phys_regs(104)),
-            );
-            let narrow = p.run_baseline(&quick(SimConfig::baseline().with_front_width(4)));
-            (small.cycles, narrow.cycles)
+            let small = p
+                .try_run_policy_sweep(
+                    &policy,
+                    RewriteStyle::NopPadded,
+                    &[quick(SimConfig::mg_integer_memory().with_phys_regs(104))],
+                )
+                .unwrap();
+            let narrow = p
+                .try_run_baseline_sweep(&[quick(SimConfig::baseline().with_front_width(4))])
+                .unwrap();
+            (small[0].cycles, narrow[0].cycles)
         })
     });
 }

@@ -12,10 +12,8 @@
 //!
 //! Every experiment builds a structured [`Report`] — a sequence of text
 //! lines and typed tables — and the format renderers derive all four
-//! output shapes from it. The **text** rendering is byte-identical to the
-//! legacy per-figure binary for that experiment (`fig6_performance`,
-//! `iq_capacity`, …): the legacy binaries are now three-line shims over
-//! [`legacy_main`], kept for one release as deprecated aliases.
+//! output shapes from it. The **text** rendering is the historical
+//! plain-text output of the experiment.
 //!
 //! `mg report` turns the documentation into a build product: it composes
 //! `EXPERIMENTS.md` (every experiment's quick-mode output, which is
@@ -34,7 +32,7 @@ use std::sync::Arc;
 /// Output format of every subcommand.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Format {
-    /// Legacy plain text (byte-identical to the per-figure binaries).
+    /// Plain text (the historical per-experiment output).
     Text,
     /// One JSON document (`mg-report-v1`).
     Json,
@@ -65,10 +63,10 @@ pub struct TableBlock {
     pub id: String,
     /// Column headers.
     pub columns: Vec<String>,
-    /// Data rows (ragged rows allowed, as in the legacy tables).
+    /// Data rows (ragged rows allowed).
     pub rows: Vec<Vec<String>>,
     /// Whether the text renderer skips this table (used by experiments
-    /// whose legacy binaries print nothing to stdout, e.g. `perf`).
+    /// whose text output is empty, e.g. `perf`).
     pub hidden: bool,
 }
 
@@ -104,8 +102,7 @@ impl Report {
         self.blocks.push(Block::Line(s.into()));
     }
 
-    /// Appends an empty line followed by `s` (the `println!("\n…")`
-    /// idiom of the legacy binaries).
+    /// Appends an empty line followed by `s` (a `println!("\n…")`).
     pub fn blank_then(&mut self, s: impl Into<String>) {
         self.line("");
         self.line(s);
@@ -157,7 +154,7 @@ impl TableBlock {
     }
 }
 
-/// Renders `report` exactly as the legacy binary printed it.
+/// Renders `report` as plain text.
 pub fn render_text(report: &Report) -> String {
     let mut out = String::new();
     for b in &report.blocks {
@@ -310,7 +307,7 @@ pub fn render(report: &Report, format: Format) -> String {
     }
 }
 
-/// Arguments of `mg run` (and, restricted, of the legacy binaries).
+/// Arguments of `mg run`.
 #[derive(Clone)]
 pub struct RunArgs {
     /// `--quick`/`--full` override; `None` means the experiment default
@@ -322,10 +319,6 @@ pub struct RunArgs {
     pub best: bool,
     /// `--no-cache`: disable the persistent artifact cache.
     pub no_cache: bool,
-    /// `--no-fuse`: run sweep cells one configuration at a time instead
-    /// of fused (results are bit-identical; this is a throughput
-    /// escape hatch, also `MG_NO_FUSE=1`).
-    pub no_fuse: bool,
     /// `--input reference|alternative|tiny`: the workload data set
     /// (default reference; `robustness` pins its own train/test pair).
     pub input: Input,
@@ -335,10 +328,6 @@ pub struct RunArgs {
     pub baseline: Option<String>,
     /// `--max-regression X` (perf only): gate bound.
     pub max_regression: f64,
-    /// `--min-fused-speedup X` (perf only): fail unless the fused fig8
-    /// sweeps run at least `X` times faster than the scalar ones
-    /// (`0` disables the gate; CI's perf-smoke job sets it).
-    pub min_fused_speedup: f64,
     /// `--lang PATH` (lang only): an `.mgl` source file compiled and
     /// run alongside the built-in corpus.
     pub lang: Option<String>,
@@ -360,14 +349,12 @@ impl Default for RunArgs {
             threads: None,
             best: false,
             no_cache: false,
-            no_fuse: false,
             input: Input::reference(),
             out: "BENCH_pipeline.json".into(),
             baseline: None,
             max_regression: 3.0,
-            min_fused_speedup: 0.0,
             lang: None,
-            // The binaries' historical default: persistent artifact
+            // The CLI's default: persistent artifact
             // cache on (at the default root) unless --no-cache.
             session: Session::builder().cache(true).build(),
             progress: None,
@@ -382,12 +369,10 @@ impl std::fmt::Debug for RunArgs {
             .field("threads", &self.threads)
             .field("best", &self.best)
             .field("no_cache", &self.no_cache)
-            .field("no_fuse", &self.no_fuse)
             .field("input", &self.input)
             .field("out", &self.out)
             .field("baseline", &self.baseline)
             .field("max_regression", &self.max_regression)
-            .field("min_fused_speedup", &self.min_fused_speedup)
             .field("lang", &self.lang)
             .field("session", &self.session)
             .field("progress", &self.progress.is_some())
@@ -418,9 +403,6 @@ impl RunArgs {
         if self.no_cache {
             b = b.cache(false);
         }
-        if self.no_fuse {
-            b = b.fuse(false);
-        }
         if let Some(t) = self.threads {
             b = b.threads(t);
         }
@@ -435,8 +417,6 @@ impl RunArgs {
 pub struct ExperimentSpec {
     /// Registry name (`mg run <name>`).
     pub name: &'static str,
-    /// The deprecated per-figure binary this replaces.
-    pub legacy_bin: &'static str,
     /// One-line description (shown by `mg list` and in the README).
     pub description: &'static str,
     /// Paper anchor (figure/section).
@@ -450,7 +430,6 @@ pub fn experiments() -> Vec<ExperimentSpec> {
     vec![
         ExperimentSpec {
             name: "fig5",
-            legacy_bin: "fig5_coverage",
             description:
                 "Coverage sweeps: MGT capacity x max mini-graph size, all three panels",
             paper_ref: "Figure 5",
@@ -458,28 +437,24 @@ pub fn experiments() -> Vec<ExperimentSpec> {
         },
         ExperimentSpec {
             name: "fig6",
-            legacy_bin: "fig6_performance",
             description: "Speedup of the four mini-graph machine configurations over baseline",
             paper_ref: "Figure 6",
             build: figures::fig6,
         },
         ExperimentSpec {
             name: "fig7",
-            legacy_bin: "fig7_serialization",
             description: "Serialization/replay ablations (--best adds the per-benchmark sweep)",
             paper_ref: "Figure 7, §6.2",
             build: figures::fig7,
         },
         ExperimentSpec {
             name: "fig8_regfile",
-            legacy_bin: "fig8_regfile",
             description: "Performance vs physical-register-file size",
             paper_ref: "Figure 8 (top)",
             build: figures::fig8_regfile,
         },
         ExperimentSpec {
             name: "fig8_bandwidth",
-            legacy_bin: "fig8_bandwidth",
             description:
                 "Bandwidth and scheduler-latency reductions, with and without mini-graphs",
             paper_ref: "Figure 8 (bottom)",
@@ -487,28 +462,24 @@ pub fn experiments() -> Vec<ExperimentSpec> {
         },
         ExperimentSpec {
             name: "robustness",
-            legacy_bin: "robustness",
             description: "Cross-input coverage robustness (train/test input split)",
             paper_ref: "§6.1",
             build: figures::robustness,
         },
         ExperimentSpec {
             name: "icache",
-            legacy_bin: "icache_effects",
             description: "Instruction-cache effects: nop-padded vs compressed images",
             paper_ref: "§6.2",
             build: figures::icache,
         },
         ExperimentSpec {
             name: "iq_capacity",
-            legacy_bin: "iq_capacity",
             description: "Performance vs issue-queue size",
             paper_ref: "§6.3",
             build: figures::iq_capacity,
         },
         ExperimentSpec {
             name: "lang",
-            legacy_bin: "",
             description:
                 "mg-lang corpus (plus --lang FILE.mgl) compiled, verified three ways, simulated",
             paper_ref: "frontend",
@@ -516,7 +487,6 @@ pub fn experiments() -> Vec<ExperimentSpec> {
         },
         ExperimentSpec {
             name: "policy_lab",
-            legacy_bin: "",
             description:
                 "Selection-policy lab: greedy vs weighted/tiling/exact-DP with optimality gaps",
             paper_ref: "§4.2 extension",
@@ -524,7 +494,6 @@ pub fn experiments() -> Vec<ExperimentSpec> {
         },
         ExperimentSpec {
             name: "perf",
-            legacy_bin: "perf_report",
             description: "Times every sweep, writes BENCH_pipeline.json, gates on regressions",
             paper_ref: "tooling",
             build: figures::perf,
@@ -532,59 +501,9 @@ pub fn experiments() -> Vec<ExperimentSpec> {
     ]
 }
 
-/// Looks up an experiment by registry name or legacy binary name.
-/// (Newer experiments have no legacy alias — their `legacy_bin` is
-/// empty and never matches.)
+/// Looks up an experiment by registry name.
 pub fn experiment(name: &str) -> Option<ExperimentSpec> {
-    experiments()
-        .into_iter()
-        .find(|e| e.name == name || (!e.legacy_bin.is_empty() && e.legacy_bin == name))
-}
-
-/// Entry point of a deprecated per-figure binary: parses the binary's
-/// historical argv, runs the experiment, and prints the text rendering —
-/// byte-identical to the original main.
-pub fn legacy_main(name: &str) {
-    let spec = experiment(name).unwrap_or_else(|| panic!("unknown experiment {name:?}"));
-    let args = if spec.name == "perf" {
-        parse_legacy_perf_args()
-    } else {
-        let legacy = mg_harness::CliArgs::parse();
-        RunArgs {
-            quick: Some(legacy.quick),
-            threads: legacy.threads,
-            best: legacy.best,
-            no_cache: legacy.no_cache,
-            ..RunArgs::default()
-        }
-    };
-    let report = (spec.build)(&args);
-    print!("{}", render_text(&report));
-    if report.status != 0 {
-        std::process::exit(report.status);
-    }
-}
-
-/// The historical `perf_report` argv: quick by default, plus the report
-/// and regression-gate flags — parsed by the same [`parse_flags`] the
-/// `mg` subcommands use (one parser to keep in sync), with the shim's
-/// historical panic-on-bad-argument behaviour preserved.
-fn parse_legacy_perf_args() -> RunArgs {
-    let mut args = RunArgs { quick: Some(true), ..RunArgs::default() };
-    let mut format = Format::Text;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match parse_flags(&argv, &mut args, &mut format) {
-        Ok(positional) if positional.is_empty() => args,
-        Ok(positional) => panic!(
-            "unknown argument {:?} (expected --quick, --full, --threads N, --out PATH, \
-             --baseline PATH, or --max-regression X)",
-            positional[0]
-        ),
-        Err(e) => panic!(
-            "{e} (expected --quick, --full, --threads N, --out PATH, --baseline PATH, \
-             or --max-regression X)"
-        ),
-    }
+    experiments().into_iter().find(|e| e.name == name)
 }
 
 const USAGE: &str = "\
@@ -592,11 +511,11 @@ mg — unified experiment CLI for the mini-graphs reproduction
 
 USAGE:
     mg run <experiment> [--quick|--full] [--threads N] [--best]
-                        [--no-cache] [--no-fuse]
+                        [--no-cache]
                         [--input reference|alternative|tiny]
                         [--format text|json|csv|markdown]
                         [--out PATH] [--baseline PATH] [--max-regression X]
-                        [--min-fused-speedup X] [--lang FILE.mgl]
+                        [--lang FILE.mgl]
     mg compile <file.mgl> [--input reference|alternative|tiny] [--format ...]
     mg list   [--format ...]
     mg report [--write|--check] [--quick] [--threads N] [--no-cache] [--format ...]
@@ -624,10 +543,8 @@ invocation (see docs/PROTOCOL.md). `mg cluster` runs N such daemons as
 shards behind one consistent-hash coordinator on the same wire
 protocol; `mg loadgen` soaks a fresh in-process cluster with seeded
 concurrent clients and writes the latency trajectory to
-BENCH_serve.json. The deprecated per-figure binaries
-(fig6_performance, ...) are aliases for `mg run <experiment> --format
-text` and print byte-identical output. Every subcommand is a thin
-shell over the embeddable `mg_api::Session` (see docs/API.md).
+BENCH_serve.json. Every subcommand is a thin shell over the embeddable
+`mg_api::Session` (see docs/API.md).
 
 EXIT STATUS (mg_api::MgErrorKind::exit_code; sysexits-style):
     0    success (or the experiment's own status)
@@ -743,7 +660,6 @@ fn parse_flags(
             "--full" => args.quick = Some(false),
             "--best" => args.best = true,
             "--no-cache" => args.no_cache = true,
-            "--no-fuse" => args.no_fuse = true,
             "--threads" => {
                 args.threads = Some(
                     value("--threads")?
@@ -774,11 +690,6 @@ fn parse_flags(
                 args.max_regression = value("--max-regression")?
                     .parse()
                     .map_err(|_| "--max-regression requires a number".to_string())?
-            }
-            "--min-fused-speedup" => {
-                args.min_fused_speedup = value("--min-fused-speedup")?
-                    .parse()
-                    .map_err(|_| "--min-fused-speedup requires a number".to_string())?
             }
             flag if flag.starts_with("--") => {
                 return Err(FlagError::Usage(format!("unknown flag {flag:?}")));
@@ -819,14 +730,9 @@ fn cmd_list(argv: &[String]) -> i32 {
     }
     let mut report = Report::new("list");
     report.line("== Experiments (mg run <name>) ==");
-    let mut t = TableBlock::new("list", &["name", "paper", "deprecated alias", "description"]);
+    let mut t = TableBlock::new("list", &["name", "paper", "description"]);
     for e in experiments() {
-        t.row(vec![
-            e.name.to_string(),
-            e.paper_ref.to_string(),
-            if e.legacy_bin.is_empty() { "-".to_string() } else { e.legacy_bin.to_string() },
-            e.description.to_string(),
-        ]);
+        t.row(vec![e.name.to_string(), e.paper_ref.to_string(), e.description.to_string()]);
     }
     report.table(t);
     print!("{}", render(&report, format));
@@ -888,7 +794,7 @@ fn cmd_cache(argv: &[String]) -> i32 {
 /// is deliberate: fig7 prepares only its focus subset, robustness
 /// prepares two different inputs, and per-builder engines are what
 /// keep every experiment's output byte-identical to its standalone
-/// `mg run` (and legacy binary) invocation.
+/// `mg run` invocation.
 const REPORT_EXPERIMENTS: &[&str] = &[
     "fig5",
     "fig6",
@@ -953,12 +859,10 @@ pub fn compose_experiments_md(args: &RunArgs) -> String {
            like `fig5_coverage` / `select_stress`, which simulate nothing);\n\
          * `mops_per_s` — committed fetched operations per second (instances\n\
            chosen per second for the selection rows);\n\
-         * `fig8_fused` / `fused_speedup` — both Figure 8 sweeps re-run as\n\
-           one **fused** pass (`--no-fuse` / `MG_NO_FUSE=1` disables fusion;\n\
-           the per-experiment rows above are always measured with fusion\n\
-           off so they track scalar compute): the `speedup` field is the\n\
-           fused-over-scalar throughput ratio, gated in CI by\n\
-           `--min-fused-speedup`;\n\
+         * every simulation row runs its matrix the one way the engine runs\n\
+           any sweep: configurations over one image deduplicated, one shared\n\
+           predecode plane, each distinct configuration simulated to\n\
+           completion in turn;\n\
          * `artifacts_cold` / `artifacts_warm` — one full artifact sweep\n\
            (every selection, baseline trace, and rewritten image) against an\n\
            empty and then a warm persistent cache: the cold/warm gap is the\n\
@@ -1013,22 +917,11 @@ pub fn compose_readme_block() -> String {
          Useful flags (every experiment): `--quick` caps simulated ops per run\n\
          (also `MG_QUICK=1`), `--threads N` bounds the fan-out (also\n\
          `MG_THREADS`), `--no-cache` disables the persistent artifact cache\n\
-         under `target/mg-cache/` (also `MG_NO_CACHE=1`), `--no-fuse` runs\n\
-         sweep cells one configuration at a time instead of fused (also\n\
-         `MG_NO_FUSE=1`; results are bit-identical either way), and\n\
+         under `target/mg-cache/` (also `MG_NO_CACHE=1`), and\n\
          `--format text|json|csv|markdown` selects the output shape.\n\
          `mg list` prints this registry; `mg cache stats|clear|dir` manages\n\
-         the artifact cache.\n\n\
-         The per-figure binaries of earlier releases are **deprecated\n\
-         aliases** kept for one release; each is a shim over the same code\n\
-         and prints byte-identical output:\n\n",
+         the artifact cache.\n",
     );
-    let aliased: Vec<_> = specs.iter().filter(|e| !e.legacy_bin.is_empty()).collect();
-    let bin_width = aliased.iter().map(|e| e.legacy_bin.len()).max().unwrap_or(0);
-    for e in &aliased {
-        let pad = " ".repeat(bin_width - e.legacy_bin.len());
-        let _ = writeln!(out, "* `{}`{pad} → `mg run {}`", e.legacy_bin, e.name);
-    }
     let _ = write!(
         out,
         "\n### Serving experiments — `mg serve` and `mg client`\n\n\
@@ -1302,17 +1195,15 @@ mod tests {
     }
 
     #[test]
-    fn registry_names_and_aliases_resolve() {
+    fn registry_names_resolve() {
         assert_eq!(experiments().len(), 11);
         for e in experiments() {
             assert!(experiment(e.name).is_some());
-            if !e.legacy_bin.is_empty() {
-                assert!(experiment(e.legacy_bin).is_some());
-            }
         }
         assert!(experiment("nonesuch").is_none());
-        // An empty name must not accidentally match an alias-less entry.
         assert!(experiment("").is_none());
+        // The per-figure binary names of earlier releases are gone.
+        assert!(experiment("fig6_performance").is_none());
     }
 
     #[test]
@@ -1321,7 +1212,7 @@ mod tests {
         let spliced = splice_readme(&readme, &compose_readme_block()).unwrap();
         assert!(spliced.starts_with("head\n"));
         assert!(spliced.ends_with("\ntail\n"));
-        assert!(spliced.contains("mg run fig6"));
+        assert!(spliced.contains("--bin mg -- run fig6 "));
         assert!(!spliced.contains("\nold\n"));
         assert!(splice_readme("no markers", "x").is_none());
     }

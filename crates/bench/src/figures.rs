@@ -1,15 +1,13 @@
 //! Report builders for every experiment in the CLI registry.
 //!
-//! Each function here is the ported `main` of one legacy per-figure
-//! binary, producing a structured [`Report`] instead of printing. The
-//! ports are line-for-line: the text rendering of each report is
-//! byte-identical to the original binary's stdout (the binaries are now
-//! shims over these builders, so identity holds by construction — and the
-//! golden outputs captured before the port verified it once by diff).
+//! Each function here builds one experiment's structured [`Report`]
+//! (`mg run <name>` renders it). The text rendering of each report is
+//! byte-identical to the stdout of the per-figure binary it was ported
+//! from; the golden outputs captured before the port verified that once
+//! by diff, and `EXPERIMENTS.md` pins it since.
 //!
-//! The paper sections and modeling notes live in the module docs of the
-//! original binaries' history and in `EXPERIMENTS.md`; the run matrices
-//! are shared with [`crate::experiments`].
+//! The paper sections and modeling notes live in `EXPERIMENTS.md`; the
+//! run matrices are shared with [`crate::experiments`].
 
 use crate::cli::{Report, RunArgs, TableBlock};
 use crate::experiments::{
@@ -363,7 +361,11 @@ pub fn icache(args: &RunArgs) -> Report {
             pad.push(px);
             comp.push(cx);
             // The compressed image is already cached from the matrix run.
-            let compressed_len = p.image(&policy, RewriteStyle::Compressed).program.len();
+            let compressed_len = p
+                .try_image(&policy, RewriteStyle::Compressed)
+                .expect("the matrix run rewrote this image")
+                .program
+                .len();
             t.row(vec![
                 p.name.clone(),
                 p.prog.len().to_string(),
@@ -415,7 +417,7 @@ pub fn iq_capacity(args: &RunArgs) -> Report {
 }
 
 // ---------------------------------------------------------------------------
-// perf — the benchmark driver (formerly the `perf_report` binary).
+// perf — the benchmark driver.
 // ---------------------------------------------------------------------------
 
 /// One timed experiment row of the perf report.
@@ -425,8 +427,6 @@ struct Measurement {
     run_ms: f64,
     sim_cycles: u64,
     sim_ops: u64,
-    /// Fused-over-scalar throughput ratio (the `fused_speedup` row only).
-    speedup: Option<f64>,
     /// Pure selector wall-clock (the per-policy `select_<family>` rows
     /// only; see [`perf_selection_policies`]).
     selection_ms: Option<f64>,
@@ -462,9 +462,6 @@ impl Measurement {
             let _ = write!(row, ", \"mcycles_per_s\": {:.2}", rate(self.sim_cycles));
         }
         let _ = write!(row, ", \"mops_per_s\": {:.2}", rate(self.sim_ops));
-        if let Some(x) = self.speedup {
-            let _ = write!(row, ", \"speedup\": {x:.2}");
-        }
         if let Some(x) = self.selection_ms {
             let _ = write!(row, ", \"selection_time_ms\": {x:.2}");
         }
@@ -478,13 +475,8 @@ impl Measurement {
 /// track real compute against the committed trajectory, and a warm cache
 /// would silently hollow them out. The cache's own benefit is measured
 /// explicitly by [`perf_artifact_sweep`].
-fn perf_engine(
-    args: &RunArgs,
-    quick: bool,
-    workloads: Option<&[&str]>,
-    fuse: bool,
-) -> (Engine, f64) {
-    let mut b = Engine::builder().quick(quick).cache(false).fuse(fuse);
+fn perf_engine(args: &RunArgs, quick: bool, workloads: Option<&[&str]>) -> (Engine, f64) {
+    let mut b = Engine::builder().quick(quick).cache(false);
     if let Some(t) = args.threads {
         b = b.threads(t);
     }
@@ -502,24 +494,15 @@ fn perf_sim_experiment(
     quick: bool,
     workloads: Option<&[&str]>,
     runs: &[Run],
-    fuse: bool,
 ) -> Measurement {
-    let (engine, prep_ms) = perf_engine(args, quick, workloads, fuse);
+    let (engine, prep_ms) = perf_engine(args, quick, workloads);
     let t = Instant::now();
     let matrix = engine.run(runs);
     let run_ms = t.elapsed().as_secs_f64() * 1e3;
     let stats = matrix.rows.iter().flat_map(|r| r.stats.iter());
     let (sim_cycles, sim_ops) = stats.fold((0, 0), |(c, o), s| (c + s.cycles, o + s.ops));
     eprintln!("{name:14} prep {prep_ms:8.1} ms  run {run_ms:8.1} ms  {sim_cycles:>10} cycles");
-    Measurement {
-        name,
-        prep_ms,
-        run_ms,
-        sim_cycles,
-        sim_ops,
-        speedup: None,
-        selection_ms: None,
-    }
+    Measurement { name, prep_ms, run_ms, sim_cycles, sim_ops, selection_ms: None }
 }
 
 /// A synthetic selection workload far past the real candidate pools: many
@@ -569,7 +552,6 @@ fn perf_select_stress(quick: bool) -> Measurement {
         run_ms,
         sim_cycles: 0,
         sim_ops: sel.chosen.len() as u64,
-        speedup: None,
         selection_ms: Some(run_ms),
     }
 }
@@ -580,7 +562,7 @@ fn perf_select_stress(quick: bool) -> Measurement {
 /// explicit `selection_time_ms` field next to the generic timings, so
 /// the committed trajectory tracks selector cost per family.
 fn perf_selection_policies(args: &RunArgs, quick: bool) -> Vec<Measurement> {
-    let (engine, _prep_ms) = perf_engine(args, quick, None, false);
+    let (engine, _prep_ms) = perf_engine(args, quick, None);
     let policy = Policy::integer_memory();
     mg_policy::all_selectors()
         .iter()
@@ -607,7 +589,6 @@ fn perf_selection_policies(args: &RunArgs, quick: bool) -> Vec<Measurement> {
                 run_ms,
                 sim_cycles: 0,
                 sim_ops: chosen,
-                speedup: None,
                 selection_ms: Some(run_ms),
             }
         })
@@ -615,7 +596,7 @@ fn perf_selection_policies(args: &RunArgs, quick: bool) -> Vec<Measurement> {
 }
 
 fn perf_fig5_experiment(args: &RunArgs, quick: bool) -> Measurement {
-    let (engine, prep_ms) = perf_engine(args, quick, None, false);
+    let (engine, prep_ms) = perf_engine(args, quick, None);
     let t = Instant::now();
     let selected = fig5_selection_sweep(&engine);
     let run_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -628,7 +609,6 @@ fn perf_fig5_experiment(args: &RunArgs, quick: bool) -> Measurement {
         run_ms,
         sim_cycles: 0,
         sim_ops: selected,
-        speedup: None,
         selection_ms: None,
     }
 }
@@ -655,9 +635,12 @@ fn perf_artifact_sweep(
     let selected = fig5_selection_sweep(&engine);
     let artifact_ops: u64 = engine
         .map(|p| {
-            let base = p.base_trace().len() as u64;
-            let img =
-                p.image(&Policy::integer_memory(), RewriteStyle::NopPadded).trace.len() as u64;
+            let base = p.try_base_trace().expect("registry workloads trace").len() as u64;
+            let img = p
+                .try_image(&Policy::integer_memory(), RewriteStyle::NopPadded)
+                .expect("registry workloads rewrite")
+                .trace
+                .len() as u64;
             base + img
         })
         .iter()
@@ -670,7 +653,6 @@ fn perf_artifact_sweep(
         run_ms,
         sim_cycles: 0,
         sim_ops: selected + artifact_ops,
-        speedup: None,
         selection_ms: None,
     }
 }
@@ -709,55 +691,24 @@ fn read_perf_baseline(path: &str) -> (String, Vec<(String, f64)>) {
 /// The benchmark driver: times every figure sweep and the artifact cache
 /// (cold vs warm), writes `BENCH_pipeline.json`, and optionally gates
 /// against a committed baseline. Prints nothing to stdout in text format
-/// (progress goes to stderr), exactly like the legacy `perf_report`
-/// binary; the structured formats expose the measurements as a table.
+/// (progress goes to stderr); the structured formats expose the
+/// measurements as a table.
 pub fn perf(args: &RunArgs) -> Report {
     let quick = args.is_quick(true);
     let mode = if quick { "quick" } else { "full" };
     eprintln!("perf_report: mode {mode}");
 
-    // Per-experiment rows are measured with fusion **off**: they track
-    // scalar simulator compute against the committed trajectory, and are
-    // comparable across releases that predate fusion. The fused rows
-    // below measure the fusion win explicitly.
     let mut measurements = vec![
         perf_fig5_experiment(args, quick),
-        perf_sim_experiment("fig6", args, quick, None, &fig6_runs(), false),
-        perf_sim_experiment("fig7", args, quick, Some(&FIG7_FOCUS), &fig7_runs(), false),
-        perf_sim_experiment("fig8_regfile", args, quick, None, &fig8_regfile_runs(), false),
-        perf_sim_experiment("fig8_bandwidth", args, quick, None, &fig8_bandwidth_runs(), false),
-        perf_sim_experiment("icache", args, quick, None, &icache_runs(), false),
-        perf_sim_experiment("iq_capacity", args, quick, None, &iq_capacity_runs(), false),
+        perf_sim_experiment("fig6", args, quick, None, &fig6_runs()),
+        perf_sim_experiment("fig7", args, quick, Some(&FIG7_FOCUS), &fig7_runs()),
+        perf_sim_experiment("fig8_regfile", args, quick, None, &fig8_regfile_runs()),
+        perf_sim_experiment("fig8_bandwidth", args, quick, None, &fig8_bandwidth_runs()),
+        perf_sim_experiment("icache", args, quick, None, &icache_runs()),
+        perf_sim_experiment("iq_capacity", args, quick, None, &iq_capacity_runs()),
         perf_select_stress(quick),
     ];
     measurements.extend(perf_selection_policies(args, quick));
-
-    // Fused trajectory: both fig8 sweeps — the widest config sweeps in
-    // the registry — as one fused run, plus the fused-over-scalar
-    // throughput ratio on those same sweeps.
-    let scalar_fig8_ms: f64 = measurements
-        .iter()
-        .filter(|m| m.name == "fig8_regfile" || m.name == "fig8_bandwidth")
-        .map(|m| m.run_ms)
-        .sum();
-    let mut fig8_fused_runs = fig8_regfile_runs();
-    fig8_fused_runs.extend(fig8_bandwidth_runs());
-    let fused = perf_sim_experiment("fig8_fused", args, quick, None, &fig8_fused_runs, true);
-    let fused_speedup = if fused.run_ms > 0.0 { scalar_fig8_ms / fused.run_ms } else { 0.0 };
-    eprintln!("fused_speedup  {fused_speedup:.2}x (fig8 sweeps, fused over scalar)");
-    let fused_run_ms = fused.run_ms;
-    let fused_cycles = fused.sim_cycles;
-    let fused_ops = fused.sim_ops;
-    measurements.push(fused);
-    measurements.push(Measurement {
-        name: "fused_speedup",
-        prep_ms: 0.0,
-        run_ms: fused_run_ms,
-        sim_cycles: fused_cycles,
-        sim_ops: fused_ops,
-        speedup: Some(fused_speedup),
-        selection_ms: None,
-    });
 
     // Cold/warm artifact-cache trajectory points: a dedicated cache root,
     // cleared for the cold pass, reused warm. Skipped under --no-cache.
@@ -781,20 +732,6 @@ pub fn perf(args: &RunArgs) -> Report {
     eprintln!("wrote {}", args.out);
 
     let mut status = 0;
-    if args.min_fused_speedup > 0.0 {
-        if fused_speedup < args.min_fused_speedup {
-            eprintln!(
-                "FUSED REGRESSION: fig8 fused speedup {fused_speedup:.2}x < required {:.2}x",
-                args.min_fused_speedup
-            );
-            status = 1;
-        } else {
-            eprintln!(
-                "fused speedup {fused_speedup:.2}x meets the {:.2}x gate",
-                args.min_fused_speedup
-            );
-        }
-    }
     if let Some(path) = &args.baseline {
         let (base_mode, baseline) = read_perf_baseline(path);
         // Quick and full wall clocks differ by an order of magnitude:

@@ -9,12 +9,7 @@
 //! the shared client-soak harness in [`soak`]),
 //! the selection-policy lab (`mg run policy_lab`; see [`policy_lab`]),
 //! the per-experiment report builders ([`figures`]), the shared run
-//! matrices ([`experiments`]), the criterion benches, and the
-//! deprecated per-figure binaries (`fig5_coverage`, `fig6_performance`,
-//! `fig7_serialization`, `fig8_regfile`, `fig8_bandwidth`, `robustness`,
-//! `icache_effects`, `iq_capacity`, `perf_report`) — each now a
-//! three-line shim over [`cli::legacy_main`] printing byte-identical
-//! output.
+//! matrices ([`experiments`]), and the criterion benches.
 //!
 //! Each experiment regenerates one table/figure of the paper's
 //! evaluation; `EXPERIMENTS.md` records the quick-mode output and is

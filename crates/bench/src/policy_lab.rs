@@ -10,7 +10,7 @@
 //!   family's internal ranking;
 //! * **IPC** — a real timing simulation of each family's rewritten
 //!   image under the integer-memory machine configuration, executed
-//!   through the fused sweep path ([`Prep::try_run_selector_sweep`]);
+//!   through the sweep path ([`Prep::try_run_selector_sweep`]);
 //! * **selection time** — wall-clock milliseconds spent inside the
 //!   selector itself (preparation and simulation excluded);
 //! * **optimality gap** — saved slots left on the table versus the

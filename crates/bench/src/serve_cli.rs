@@ -97,7 +97,6 @@ fn run_request(
         threads: req.threads.map(|n| n as usize),
         best: req.best,
         no_cache: req.no_cache,
-        no_fuse: req.no_fuse,
         input,
         session: session.clone(),
         progress: Some(progress),
@@ -303,7 +302,6 @@ pub fn cmd_client(argv: &[String]) -> i32 {
                 "--full" => run.quick = Some(false),
                 "--best" => run.best = true,
                 "--no-cache" => run.no_cache = true,
-                "--no-fuse" => run.no_fuse = true,
                 "--threads" => {
                     run.threads = Some(
                         value("--threads")?

@@ -189,7 +189,6 @@ pub struct EngineBuilder {
     extra: Vec<ExtraSource>,
     threads: usize,
     quick: bool,
-    fuse: bool,
     trace_budget: Option<u64>,
     cache_dir: Option<PathBuf>,
     cache_fallback_dir: Option<PathBuf>,
@@ -206,7 +205,6 @@ impl EngineBuilder {
             extra: Vec::new(),
             threads: default_threads(),
             quick: quick_mode(),
-            fuse: fuse_default(),
             trace_budget: None,
             cache_dir: None,
             cache_fallback_dir: None,
@@ -329,16 +327,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Forces fused sweep execution on or off (default: on unless the
-    /// `MG_NO_FUSE` environment variable is set; see [`fuse_default`]).
-    /// When on, matrix cells sharing one (workload, image) group run as
-    /// one fused sweep (see [`crate::fused`]); results are bit-identical
-    /// either way, so this is purely a throughput switch.
-    pub fn fuse(mut self, fuse: bool) -> EngineBuilder {
-        self.fuse = fuse;
-        self
-    }
-
     /// Overrides the recorded-trace budget (ops). The default is derived
     /// from quick mode ([`QUICK_MAX_OPS`](crate::quick::QUICK_MAX_OPS)
     /// quick, [`STEP_BUDGET`](crate::prep::STEP_BUDGET) full); sessions
@@ -432,7 +420,6 @@ impl EngineBuilder {
             extra,
             threads,
             quick,
-            fuse,
             trace_budget,
             cache_dir,
             cache_fallback_dir,
@@ -522,7 +509,7 @@ impl EngineBuilder {
                 }
             });
         let preps = preps.into_iter().collect::<Result<Vec<_>, _>>()?;
-        Ok(Engine { preps, threads, quick, fuse, observer })
+        Ok(Engine { preps, threads, quick, observer })
     }
 }
 
@@ -531,7 +518,6 @@ pub struct Engine {
     preps: Vec<Arc<Prep>>,
     threads: usize,
     quick: bool,
-    fuse: bool,
     observer: Option<CellObserver>,
 }
 
@@ -556,11 +542,6 @@ impl Engine {
         self.quick
     }
 
-    /// Whether sweeps run fused (see [`EngineBuilder::fuse`]).
-    pub fn fuse(&self) -> bool {
-        self.fuse
-    }
-
     /// The engine's prepared workloads grouped by suite.
     pub fn by_suite(&self) -> Vec<(Suite, Vec<&Prep>)> {
         by_suite(&self.preps)
@@ -582,78 +563,30 @@ impl Engine {
         run_indexed(self.threads, self.preps.len(), |i| f(&self.preps[i]))
     }
 
-    /// Executes the (workload × run) matrix, fanning cells out across the
+    /// Executes the (workload × run) matrix, fanning work out across the
     /// engine's threads. Quick mode caps each run's `max_ops`.
     ///
-    /// Cells are claimed with the workload as the fastest-varying
-    /// dimension, so concurrently claimed cells land on distinct
-    /// workloads and the per-[`Prep`] artifact caches see one miss per
-    /// (policy, style) each instead of racing duplicate computations.
+    /// Columns sharing one [`Image`] — a sweep's configurations over one
+    /// cell group — form one work unit per workload, simulated as one
+    /// sweep over that image (see [`crate::fused`]); results are
+    /// scattered back to spec order. Units are claimed with the workload
+    /// as the fastest-varying dimension, so concurrently claimed units
+    /// land on distinct workloads and the per-[`Prep`] artifact caches
+    /// see one miss per (policy, style) each instead of racing duplicate
+    /// computations.
     pub fn run(&self, runs: &[Run]) -> RunMatrix {
         self.try_run(runs).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`Engine::run`] — the `mg_api` session path. A failing
-    /// (or panicking) cell fails the whole matrix with the first error in
-    /// claim order; successful sibling cells are discarded.
+    /// (or panicking) unit fails the whole matrix with the first error in
+    /// claim order; successful sibling units are discarded.
     ///
     /// # Errors
     ///
-    /// Whatever the failing cell's [`Prep`] accessor raised, or
-    /// [`HarnessError::Panicked`] for a panicking cell.
+    /// Whatever the failing unit's [`Prep`] accessor raised, or
+    /// [`HarnessError::Panicked`] for a panicking unit.
     pub fn try_run(&self, runs: &[Run]) -> Result<RunMatrix, HarnessError> {
-        if self.fuse {
-            return self.try_run_fused(runs);
-        }
-        let n_preps = self.preps.len();
-        let cells = n_preps * runs.len();
-        let stats = run_indexed(self.threads, cells, |claim| {
-            let prep = &self.preps[claim % n_preps];
-            let run = &runs[claim / n_preps];
-            let cfg = self.tune(run.cfg.clone());
-            let stats = std::panic::catch_unwind(AssertUnwindSafe(|| match &run.image {
-                Image::Baseline => prep.try_run_baseline(&cfg),
-                Image::MiniGraph { policy, style } => prep.try_run_policy(policy, *style, &cfg),
-            }))
-            .unwrap_or_else(|panic| {
-                Err(HarnessError::Panicked {
-                    workload: prep.name.clone(),
-                    message: panic_message(panic.as_ref()),
-                })
-            })?;
-            if let Some(observer) = &self.observer {
-                observer(&CellDone {
-                    workload: prep.name.clone(),
-                    label: run.label.clone(),
-                    cycles: stats.cycles,
-                    ops: stats.ops,
-                });
-            }
-            Ok(stats)
-        });
-        // stats[claim] belongs to (prep = claim % n_preps, run = claim /
-        // n_preps); scatter into workload-major rows.
-        let mut rows: Vec<RunRow> = self
-            .preps
-            .iter()
-            .map(|prep| RunRow {
-                prep: Arc::clone(prep),
-                stats: Vec::with_capacity(runs.len()),
-            })
-            .collect();
-        for (claim, s) in stats.into_iter().enumerate() {
-            rows[claim % n_preps].stats.push(s?);
-        }
-        Ok(RunMatrix { labels: runs.iter().map(|r| r.label.clone()).collect(), rows })
-    }
-
-    /// Fused [`Engine::try_run`]: matrix cells sharing one (workload,
-    /// image) pair — a sweep's configurations over one cell group — run
-    /// as **one fused pass** over that image's trace (see
-    /// [`crate::fused`]). Work units are (workload, image) groups rather
-    /// than single cells; results are scattered back to spec order, so
-    /// the matrix is bit-identical to the unfused path.
-    fn try_run_fused(&self, runs: &[Run]) -> Result<RunMatrix, HarnessError> {
         let n_preps = self.preps.len();
         // Group run columns by image, preserving first-seen order.
         let mut groups: Vec<(&Image, Vec<usize>)> = Vec::new();
@@ -663,8 +596,6 @@ impl Engine {
                 None => groups.push((&run.image, vec![i])),
             }
         }
-        // One work unit per (workload, image group), workload
-        // fastest-varying like the unfused claim order.
         let units = n_preps * groups.len();
         let results = run_indexed(self.threads, units, |claim| {
             let prep = &self.preps[claim % n_preps];
@@ -711,14 +642,6 @@ impl Engine {
         }
         Ok(RunMatrix { labels: runs.iter().map(|r| r.label.clone()).collect(), rows })
     }
-}
-
-/// Default fusion switch: on unless the `MG_NO_FUSE` environment
-/// variable is set (to anything). The CLI's `--no-fuse` flag sets the
-/// variable so the whole process — including `mg serve` worker engines —
-/// inherits the choice.
-pub fn fuse_default() -> bool {
-    std::env::var_os("MG_NO_FUSE").is_none()
 }
 
 /// Default worker-thread count: `MG_THREADS` if set, else available

@@ -1,49 +1,32 @@
-//! Fused multi-config sweep execution.
+//! Multi-config sweep execution.
 //!
 //! The paper's headline figures sweep many near-identical [`SimConfig`]s
-//! over the same (workload, input, policy) cell. Running those one
-//! config at a time re-reads the whole trace and rebuilds the predecode
-//! plane per config; the fused executor instead advances **K pipeline
-//! replicas over one shared instruction stream**:
+//! over the same (workload, input, policy) cell. A sweep runs over one
+//! image's artifacts (program, trace, catalog):
 //!
-//! * **Batching rule**: only runs over the *same image artifacts*
-//!   (program, trace, catalog — i.e. one matrix cell group) fuse; the
-//!   replicas share one [`Predecode`] plane and walk one trace, so the
-//!   stream's bytes stay cache-resident across all K replicas instead of
-//!   being streamed K times.
+//! * **Shared predecode**: every configuration simulates against one
+//!   [`Predecode`] plane, built once per image.
 //! * **Dedup**: identical configurations in a sweep (common at sweep
 //!   anchor points — e.g. a register-file sweep whose mid point equals
 //!   the baseline machine) simulate **once** and fan the stats out to
 //!   every requesting column.
-//! * **Divergence**: replicas are *not* cycle-locked. Each advances
-//!   independently to a shared fetch-position target
-//!   ([`FUSE_CHUNK`] trace ops at a time), so configs that diverge in
-//!   time (taken branches, cache misses, squashes) simply spend
-//!   different cycle counts inside the same trace window and retire
-//!   independently; a finished replica drops out of the round-robin.
+//! * **One at a time**: each distinct configuration runs to completion
+//!   with [`simulate_with`] before the next starts, so only one
+//!   simulator is alive at a time.
 //!
-//! Chunked advancing is possible because [`Simulator::advance`] pauses
-//! *between* cycles: resuming with a larger target re-enters the cycle
-//! loop with every field intact, so a fused run is **bit-identical** to
-//! K scalar runs by construction — enforced end-to-end by the
-//! scalar-vs-fused differential test in `tests/fused.rs`.
+//! Each result is therefore exactly what [`simulate_with`] returns for
+//! that config alone — enforced over every registry workload by
+//! `tests/fused.rs`.
 
 use mg_isa::{HandleCatalog, Program};
 use mg_profile::Trace;
-use mg_uarch::{Predecode, SimConfig, SimStats, Simulator};
+use mg_uarch::{simulate_with, Predecode, SimConfig, SimStats};
 use std::sync::Arc;
 
-/// Shared fetch-position step, in trace operations. Large enough that
-/// per-replica switching cost is noise, small enough that the window's
-/// trace bytes and predecode lanes stay hot across all replicas
-/// (4096 ops ≈ 160KB of trace — L2-resident — walked K times per step).
-pub const FUSE_CHUNK: usize = 4096;
-
 /// Simulates one image under every configuration of `cfgs`, sharing the
-/// predecode plane and fetch stream across replicas and deduplicating
-/// identical configurations. Returns one [`SimStats`] per input config,
-/// in order — bit-identical to calling
-/// [`simulate_with`](mg_uarch::simulate_with) per config.
+/// predecode plane and deduplicating identical configurations. Returns
+/// one [`SimStats`] per input config, in order — bit-identical to
+/// calling [`simulate_with`] per config.
 pub fn run_fused(
     prog: &Program,
     trace: &Trace,
@@ -51,51 +34,15 @@ pub fn run_fused(
     predecode: &Arc<Predecode>,
     cfgs: &[SimConfig],
 ) -> Vec<SimStats> {
-    // Dedup identical configurations: `reps[j]` is the index of the
-    // first config simulating replica `j`; `assign[i]` maps config `i`
-    // to its replica.
-    let mut reps: Vec<usize> = Vec::new();
-    let mut assign: Vec<usize> = Vec::with_capacity(cfgs.len());
+    let mut out: Vec<SimStats> = Vec::with_capacity(cfgs.len());
     for (i, cfg) in cfgs.iter().enumerate() {
-        match reps.iter().position(|&r| cfgs[r] == *cfg) {
-            Some(j) => assign.push(j),
-            None => {
-                assign.push(reps.len());
-                reps.push(i);
-            }
-        }
+        let stats = match cfgs[..i].iter().position(|c| c == cfg) {
+            Some(first) => out[first].clone(),
+            None => simulate_with(cfg, prog, trace, catalog, predecode),
+        };
+        out.push(stats);
     }
-    let mut sims: Vec<Option<Simulator>> = reps
-        .iter()
-        .map(|&i| {
-            Some(Simulator::with_predecode(
-                cfgs[i].clone(),
-                prog,
-                trace,
-                catalog,
-                Arc::clone(predecode),
-            ))
-        })
-        .collect();
-    let mut stats: Vec<Option<SimStats>> = vec![None; sims.len()];
-    // Round-robin over a monotonically advancing shared fetch target.
-    // `advance` returns `true` when the replica drains (its own op cap
-    // may stop it well before the target); the final `usize::MAX` round
-    // is reached once the target passes the trace length.
-    let mut target = 0usize;
-    while stats.iter().any(|s| s.is_none()) {
-        target =
-            if target >= trace.len() { usize::MAX } else { target.saturating_add(FUSE_CHUNK) };
-        for (slot, out) in sims.iter_mut().zip(stats.iter_mut()) {
-            if let Some(sim) = slot {
-                if sim.advance(target) {
-                    *out = Some(slot.take().expect("sim present").into_stats());
-                }
-            }
-        }
-    }
-    // Fan replica stats out to every requesting config column.
-    assign.into_iter().map(|j| stats[j].clone().expect("all replicas finished")).collect()
+    out
 }
 
 #[cfg(test)]
@@ -103,7 +50,6 @@ mod tests {
     use super::*;
     use mg_isa::{reg, Asm, Memory};
     use mg_profile::record_trace;
-    use mg_uarch::simulate_with;
 
     fn tiny_image() -> (Program, Trace) {
         let mut a = Asm::new();
@@ -136,8 +82,8 @@ mod tests {
         let fused = run_fused(&prog, &trace, &catalog, &pd, &cfgs);
         for (cfg, f) in cfgs.iter().zip(&fused) {
             let scalar = simulate_with(cfg, &prog, &trace, &catalog, &pd);
-            assert_eq!(*f, scalar, "fused stats must be bit-identical");
+            assert_eq!(*f, scalar, "sweep stats must be bit-identical");
         }
-        assert_eq!(fused[0], fused[3], "duplicate configs share one replica");
+        assert_eq!(fused[0], fused[3], "duplicate configs share one simulation");
     }
 }

@@ -10,8 +10,8 @@
 //!    result ordering: a parallel run is bit-identical to a sequential
 //!    one because every cell is a pure function of its inputs.
 //!
-//! The unified `mg` CLI in `mg-bench` (`mg run <experiment>` and the
-//! deprecated per-figure shims), the `mg serve` daemon, the criterion
+//! The unified `mg` CLI in `mg-bench` (`mg run <experiment>`), the
+//! `mg serve` daemon, the criterion
 //! benches, and the examples all build on this crate; each registry
 //! experiment regenerates one table/figure of the paper's evaluation.
 //! Long-running services share warm preps across engines through
@@ -62,10 +62,10 @@ pub use engine::{
     RunMatrix, RunRow,
 };
 pub use error::{BuildError, HarnessError};
-pub use fused::{run_fused, FUSE_CHUNK};
+pub use fused::run_fused;
 pub use pool::{PoolKey, PrepPool};
 pub use prep::{by_suite, BuildFn, MgImage, Prep, ENUMERATION_SIZE, STEP_BUDGET};
 pub use prep_cache::{CacheStats, PrepCache, CACHE_SCHEMA_VERSION};
-pub use quick::{apply_quick, quick_mode, CliArgs, QUICK_MAX_OPS};
+pub use quick::{apply_quick, quick_mode, QUICK_MAX_OPS};
 pub use report::{gmean, speedup};
 pub use table::Table;

@@ -262,7 +262,7 @@ mod tests {
 
     fn tiny_prep(name: &str) -> Prep {
         let w = mg_workloads::by_name(name).expect("registered");
-        Prep::new(&w, &Input::tiny())
+        Prep::try_new(&w, &Input::tiny()).unwrap()
     }
 
     fn key(name: &str, budget: u64) -> PoolKey {

@@ -23,7 +23,7 @@ use mg_core::{
 };
 use mg_isa::{HandleCatalog, Memory, Program};
 use mg_profile::{build_cfg, profile_program, record_trace, BlockProfile, Cfg, Trace};
-use mg_uarch::{simulate_with, Predecode, SimConfig, SimStats};
+use mg_uarch::{Predecode, SimConfig, SimStats};
 use mg_workloads::{Input, Suite, Workload};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -58,7 +58,7 @@ pub struct MgImage {
     /// The mini-graph catalog the image's handles refer to.
     pub catalog: HandleCatalog,
     /// Lazily-built predecode plane shared by every simulation of this
-    /// image (scalar runs and fused sweeps alike).
+    /// image.
     predecode: OnceLock<Arc<Predecode>>,
 }
 
@@ -162,14 +162,7 @@ impl ImageCache {
 impl Prep {
     /// Profiles `w` on `input` and enumerates candidates. Registered
     /// workloads cache under their registry stable id; ad-hoc programs
-    /// ([`Prep::with_build`]) under `custom/<name>`.
-    pub fn new(w: &Workload, input: &Input) -> Prep {
-        Prep::try_new(w, input).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Prep::new`]: the same preparation, surfacing build and
-    /// functional-execution failures as [`HarnessError`] instead of
-    /// panicking (the `mg_api` session path).
+    /// ([`Prep::try_with_build`]) under `custom/<name>`.
     ///
     /// # Errors
     ///
@@ -187,17 +180,8 @@ impl Prep {
     }
 
     /// Prepares an ad-hoc program (not in the workload registry) from any
-    /// build closure — the same flow the examples use.
-    pub fn with_build(
-        name: impl Into<String>,
-        suite: Suite,
-        build: BuildFn,
-        input: &Input,
-    ) -> Prep {
-        Prep::try_with_build(name, suite, build, input).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Prep::with_build`]; the cache id is `custom/<name>`.
+    /// build closure — the same flow the examples use. The cache id is
+    /// `custom/<name>`.
     ///
     /// # Errors
     ///
@@ -324,24 +308,12 @@ impl Prep {
         self.fingerprint
     }
 
-    /// Prepares every registered workload on the given input
-    /// (sequentially; [`Engine`](crate::engine::Engine) does this in
-    /// parallel).
-    pub fn all(input: &Input) -> Vec<Prep> {
-        mg_workloads::all().iter().map(|w| Prep::new(w, input)).collect()
-    }
-
     /// The input this prep was built from.
     pub fn input(&self) -> Input {
         self.input
     }
 
     /// Builds a fresh memory image (the program is identical every time).
-    pub fn fresh_memory(&self) -> Memory {
-        self.try_fresh_memory().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Prep::fresh_memory`].
     ///
     /// # Errors
     ///
@@ -395,15 +367,20 @@ impl Prep {
         Arc::clone(cache.entry(memo_key).or_insert(sel))
     }
 
-    /// The baseline dynamic trace (fresh memory, same input), memoized
-    /// (and, with a [`PrepCache`] attached, persisted across processes).
+    /// [`Prep::try_base_trace`] for callers that already know the trace
+    /// records (the `perfbench/` benchmark reads it this way).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`HarnessError`] if recording fails.
     pub fn base_trace(&self) -> Arc<Trace> {
         self.try_base_trace().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Prep::base_trace`]. Concurrent callers block on one
-    /// recording (exactly-once, like the panicking path's `get_or_init`);
-    /// a failed recording releases the lock and stays retryable.
+    /// The baseline dynamic trace (fresh memory, same input), memoized
+    /// (and, with a [`PrepCache`] attached, persisted across processes).
+    /// Concurrent callers block on one recording (exactly-once); a
+    /// failed recording releases the lock and stays retryable.
     ///
     /// # Errors
     ///
@@ -447,11 +424,6 @@ impl Prep {
     /// in a bounded FIFO cache ([`IMAGE_CACHE_CAP`]) (and, with a
     /// [`PrepCache`] attached, persisted across processes — a disk hit
     /// skips selection, rewriting, and trace recording in one step).
-    pub fn image(&self, policy: &Policy, style: RewriteStyle) -> Arc<MgImage> {
-        self.try_image(policy, style).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Prep::image`].
     ///
     /// # Errors
     ///
@@ -507,13 +479,8 @@ impl Prep {
     }
 
     /// Rewrites with `selection` and returns the handle image + its trace
-    /// (uncached; prefer [`Prep::image`] when the selection came from a
-    /// policy).
-    pub fn build_image(&self, selection: &Selection, style: RewriteStyle) -> MgImage {
-        self.try_build_image(selection, style).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Prep::build_image`].
+    /// (uncached; prefer [`Prep::try_image`] when the selection came from
+    /// a policy).
     ///
     /// # Errors
     ///
@@ -536,22 +503,6 @@ impl Prep {
         Ok(MgImage::new(rw.program, trace, selection.catalog.clone()))
     }
 
-    /// Simulates the baseline image under `cfg`.
-    pub fn run_baseline(&self, cfg: &SimConfig) -> SimStats {
-        self.try_run_baseline(cfg).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Prep::run_baseline`].
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`Prep::try_base_trace`] raises (simulation itself is
-    /// total over a recorded trace).
-    pub fn try_run_baseline(&self, cfg: &SimConfig) -> Result<SimStats, HarnessError> {
-        let t = self.try_base_trace()?;
-        Ok(simulate_with(cfg, &self.prog, &t, &self.base_catalog, &self.base_predecode()))
-    }
-
     /// The baseline program's predecode plane, built on first use and
     /// shared by every baseline simulation of this prep.
     pub fn base_predecode(&self) -> Arc<Predecode> {
@@ -562,12 +513,14 @@ impl Prep {
     }
 
     /// Simulates the baseline image under every configuration of `cfgs`
-    /// with the fused executor (see [`crate::fused`]): one shared fetch
-    /// stream, deduplicated configs, bit-identical per-config stats.
+    /// (see [`crate::fused`]): one shared predecode plane, deduplicated
+    /// configs, one stats record per config. A single configuration is a
+    /// one-element slice.
     ///
     /// # Errors
     ///
-    /// As [`Prep::try_run_baseline`].
+    /// Whatever [`Prep::try_base_trace`] raises (simulation itself is
+    /// total over a recorded trace).
     pub fn try_run_baseline_sweep(
         &self,
         cfgs: &[SimConfig],
@@ -583,12 +536,12 @@ impl Prep {
     }
 
     /// Simulates the rewritten image of `policy` under every
-    /// configuration of `cfgs` with the fused executor (see
-    /// [`crate::fused`]).
+    /// configuration of `cfgs` (see [`crate::fused`]), reusing the cached
+    /// selection, image, and trace.
     ///
     /// # Errors
     ///
-    /// As [`Prep::try_run_policy`].
+    /// Whatever [`Prep::try_image`] raises.
     pub fn try_run_policy_sweep(
         &self,
         policy: &Policy,
@@ -599,9 +552,8 @@ impl Prep {
     }
 
     /// Simulates the rewritten image of `(selector, policy)` under every
-    /// configuration of `cfgs` with the fused executor (see
-    /// [`crate::fused`]) — the selector-generalized
-    /// [`Prep::try_run_policy_sweep`].
+    /// configuration of `cfgs` (see [`crate::fused`]) — the
+    /// selector-generalized [`Prep::try_run_policy_sweep`].
     ///
     /// # Errors
     ///
@@ -621,44 +573,6 @@ impl Prep {
             &img.predecode(),
             cfgs,
         ))
-    }
-
-    /// Simulates the rewritten image of `policy` under `cfg`, reusing the
-    /// cached selection, image, and trace.
-    pub fn run_policy(
-        &self,
-        policy: &Policy,
-        style: RewriteStyle,
-        cfg: &SimConfig,
-    ) -> SimStats {
-        self.try_run_policy(policy, style, cfg).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Prep::run_policy`].
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`Prep::try_image`] raises.
-    pub fn try_run_policy(
-        &self,
-        policy: &Policy,
-        style: RewriteStyle,
-        cfg: &SimConfig,
-    ) -> Result<SimStats, HarnessError> {
-        let img = self.try_image(policy, style)?;
-        Ok(simulate_with(cfg, &img.program, &img.trace, &img.catalog, &img.predecode()))
-    }
-
-    /// Simulates the rewritten image of an explicit `selection` under
-    /// `cfg` (uncached path for ad-hoc selections).
-    pub fn run_selection(
-        &self,
-        selection: &Selection,
-        style: RewriteStyle,
-        cfg: &SimConfig,
-    ) -> SimStats {
-        let img = self.build_image(selection, style);
-        simulate_with(cfg, &img.program, &img.trace, &img.catalog, &img.predecode())
     }
 }
 

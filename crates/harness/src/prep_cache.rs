@@ -881,8 +881,8 @@ mod tests {
                 .cache_dir(c.root())
                 .build();
             for p in engine.preps() {
-                p.base_trace();
-                p.image(&policy, style);
+                p.try_base_trace().unwrap();
+                p.try_image(&policy, style).unwrap();
             }
             engine.preps().iter().map(|p| p.fingerprint()).collect::<Vec<_>>()
         };

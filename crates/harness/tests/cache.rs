@@ -76,9 +76,12 @@ fn warm_cache_is_bit_identical_to_fresh() {
             "selection bytes for {}",
             f.name
         );
-        assert_eq!(to_bytes(&*f.base_trace()), to_bytes(&*w.base_trace()));
-        let fi = f.image(&policy, RewriteStyle::NopPadded);
-        let wi = w.image(&policy, RewriteStyle::NopPadded);
+        assert_eq!(
+            to_bytes(&*f.try_base_trace().unwrap()),
+            to_bytes(&*w.try_base_trace().unwrap())
+        );
+        let fi = f.try_image(&policy, RewriteStyle::NopPadded).unwrap();
+        let wi = w.try_image(&policy, RewriteStyle::NopPadded).unwrap();
         assert_eq!(fi.program.insts, wi.program.insts);
         assert_eq!(to_bytes(&fi.trace), to_bytes(&wi.trace));
         assert_eq!(to_bytes(&fi.catalog), to_bytes(&wi.catalog));
@@ -111,7 +114,7 @@ fn quick_and_full_budgets_do_not_share_trace_entries() {
         .quick(true)
         .cache_dir(&dir)
         .build();
-    let quick_len = quick.preps()[0].base_trace().len();
+    let quick_len = quick.preps()[0].try_base_trace().unwrap().len();
 
     // A full engine over the same cache must not pick up the prefix.
     let full = Engine::builder()
@@ -120,7 +123,7 @@ fn quick_and_full_budgets_do_not_share_trace_entries() {
         .quick(false)
         .cache_dir(&dir)
         .build();
-    let full_len = full.preps()[0].base_trace().len();
+    let full_len = full.preps()[0].try_base_trace().unwrap().len();
     assert!(
         full_len >= quick_len,
         "full trace ({full_len} ops) must cover the quick prefix ({quick_len} ops)"

@@ -25,11 +25,11 @@ fn round_trip(t: &Trace, what: &str) {
 fn every_registry_trace_round_trips_through_the_columnar_codec() {
     let policies = [Policy::integer(), Policy::integer_memory()];
     for w in mg_workloads::all() {
-        let prep = Prep::new(&w, &Input::tiny()).with_trace_budget(QUICK_MAX_OPS);
-        round_trip(&prep.base_trace(), &format!("{} base", w.name));
+        let prep = Prep::try_new(&w, &Input::tiny()).unwrap().with_trace_budget(QUICK_MAX_OPS);
+        round_trip(&prep.try_base_trace().unwrap(), &format!("{} base", w.name));
         for policy in &policies {
             for style in [RewriteStyle::NopPadded, RewriteStyle::Compressed] {
-                let img = prep.image(policy, style);
+                let img = prep.try_image(policy, style).unwrap();
                 round_trip(&img.trace, &format!("{} image {policy:?} {style:?}", w.name));
             }
         }
@@ -59,13 +59,14 @@ fn a_flipped_bit_anywhere_in_a_cache_file_is_a_miss() {
     let cache = Arc::new(PrepCache::new(&root));
     cache.clear().unwrap();
     let w = mg_workloads::by_name("crc32").expect("registered");
-    let prep = Prep::new(&w, &Input::tiny())
+    let prep = Prep::try_new(&w, &Input::tiny())
+        .unwrap()
         .with_trace_budget(BUDGET)
         .with_cache(Some(Arc::clone(&cache)));
     let (policy, style) = (Policy::integer_memory(), RewriteStyle::NopPadded);
     let _ = prep.select(&policy);
-    let _ = prep.base_trace();
-    let _ = prep.image(&policy, style);
+    let _ = prep.try_base_trace().unwrap();
+    let _ = prep.try_image(&policy, style).unwrap();
     let fp = prep.fingerprint();
 
     let files = cache_files(&root);

@@ -42,13 +42,14 @@ fn cache_files(root: &Path) -> Vec<PathBuf> {
 /// cache with all three artifact kinds.
 fn populated_prep(cache: &Arc<PrepCache>) -> Prep {
     let w = mg_workloads::by_name("crc32").expect("registered");
-    let prep = Prep::new(&w, &Input::tiny())
+    let prep = Prep::try_new(&w, &Input::tiny())
+        .unwrap()
         .with_trace_budget(BUDGET)
         .with_cache(Some(Arc::clone(cache)));
     let policy = Policy::integer_memory();
     let _ = prep.select(&policy);
-    let _ = prep.base_trace();
-    let _ = prep.image(&policy, RewriteStyle::NopPadded);
+    let _ = prep.try_base_trace().unwrap();
+    let _ = prep.try_image(&policy, RewriteStyle::NopPadded).unwrap();
     prep
 }
 
@@ -64,7 +65,7 @@ fn truncated_and_flipped_artifacts_degrade_to_misses_not_panics() {
 
     // Golden copies for bit-identity after recomputation.
     let golden_sel = wire::to_bytes(&*prep.select(&policy));
-    let golden_trace = wire::to_bytes(&*prep.base_trace());
+    let golden_trace = wire::to_bytes(&*prep.try_base_trace().unwrap());
 
     let files = cache_files(&root);
     assert!(files.len() >= 3, "selection + trace + image cached, got {files:?}");
@@ -151,7 +152,7 @@ fn truncated_and_flipped_artifacts_degrade_to_misses_not_panics() {
         "recomputed selection is bit-identical"
     );
     assert_eq!(
-        wire::to_bytes(&*fresh.base_trace()),
+        wire::to_bytes(&*fresh.try_base_trace().unwrap()),
         golden_trace,
         "recomputed trace is bit-identical"
     );

@@ -1,13 +1,15 @@
-//! Scalar-vs-fused differential test: the fused sweep executor must
-//! produce **bit-identical** `SimStats` to one-config-at-a-time scalar
-//! execution, for every registered workload, on a sweep that exercises
-//! the divergence machinery (different widths, register files, and
-//! images diverge in time almost immediately).
+//! K=1 vs K=n sweep differential: a matrix whose image groups run as
+//! multi-config sweeps (K=n configurations per unit, see
+//! `mg_harness::fused`) must produce **bit-identical** `SimStats` to
+//! simulating each cell alone (K=1) with `mg_uarch::simulate_with` over
+//! a freshly built predecode plane, for every registered workload.
 
 use mg_core::{Policy, RewriteStyle};
-use mg_harness::{Engine, Run};
-use mg_uarch::SimConfig;
+use mg_harness::{Engine, Image, Run};
+use mg_isa::HandleCatalog;
+use mg_uarch::{simulate_with, Predecode, SimConfig};
 use mg_workloads::Input;
+use std::sync::Arc;
 
 fn quick(mut cfg: SimConfig) -> SimConfig {
     cfg.max_ops = 10_000;
@@ -15,9 +17,9 @@ fn quick(mut cfg: SimConfig) -> SimConfig {
 }
 
 /// A 4-config sweep per image group: a baseline anchor, a deliberate
-/// duplicate of it (exercises replica dedup), a narrow front end, and a
-/// small register file — plus two mini-graph cells so policy images run
-/// through the fused path too.
+/// duplicate of it (exercises dedup), a narrow front end, and a small
+/// register file — plus two mini-graph cells so policy images run
+/// through the sweep path too.
 fn sweep() -> Vec<Run> {
     [
         Run::baseline(quick(SimConfig::baseline())).label("base"),
@@ -40,23 +42,36 @@ fn sweep() -> Vec<Run> {
     .into()
 }
 
-/// Every registry workload × tiny input × the sweep above: fused and
-/// scalar matrices must be bit-identical, cell for cell.
+/// Every registry workload × tiny input × the sweep above: each cell of
+/// the swept matrix equals the same cell simulated alone.
 #[test]
 fn fused_sweep_matches_scalar_on_every_workload() {
     let runs = sweep();
-    let build = |fuse: bool| {
-        Engine::builder().input(Input::tiny()).quick(false).fuse(fuse).build().run(&runs)
-    };
-    let fused = build(true);
-    let scalar = build(false);
-
-    assert_eq!(fused.labels, scalar.labels);
-    assert!(fused.rows.len() >= 24, "every registered workload is covered");
-    for (f, s) in fused.rows.iter().zip(&scalar.rows) {
-        assert_eq!(f.prep.name, s.prep.name, "row order is deterministic");
-        for (label, (fs, ss)) in fused.labels.iter().zip(f.stats.iter().zip(&s.stats)) {
-            assert_eq!(fs, ss, "{}/{label}: fused and scalar SimStats diverge", f.prep.name);
+    let engine = Engine::builder().input(Input::tiny()).quick(false).build();
+    let matrix = engine.run(&runs);
+    assert!(matrix.rows.len() >= 24, "every registered workload is covered");
+    for row in &matrix.rows {
+        let prep = &row.prep;
+        for (run, swept) in runs.iter().zip(&row.stats) {
+            let alone = match &run.image {
+                Image::Baseline => {
+                    let catalog = HandleCatalog::new();
+                    let pd = Arc::new(Predecode::new(&prep.prog, &catalog));
+                    let trace = prep.try_base_trace().unwrap();
+                    simulate_with(&run.cfg, &prep.prog, &trace, &catalog, &pd)
+                }
+                Image::MiniGraph { policy, style } => {
+                    let img = prep.try_image(policy, *style).unwrap();
+                    let pd = Arc::new(Predecode::new(&img.program, &img.catalog));
+                    simulate_with(&run.cfg, &img.program, &img.trace, &img.catalog, &pd)
+                }
+            };
+            assert_eq!(
+                *swept, alone,
+                "{}/{}: swept and single-config SimStats diverge",
+                prep.name, run.label
+            );
         }
+        assert_eq!(row.stats[0], row.stats[1], "{}: base-dup shares base's run", prep.name);
     }
 }

@@ -27,7 +27,7 @@
 //! All three selectors implement the object-safe
 //! [`mg_core::Selector`] trait, so they register through
 //! `mg_api::SelectionPolicy` and flow through the experiment harness
-//! (prep memos, artifact cache, fused sweeps) exactly like the built-in
+//! (prep memos, artifact cache, sweeps) exactly like the built-in
 //! greedy — see `mg run policy_lab`.
 
 #![deny(missing_docs)]

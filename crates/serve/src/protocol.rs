@@ -33,7 +33,8 @@ use mg_isa::wire::{Reader, Wire, WireError, Writer};
 /// Version sent in the connection handshake; see the module docs for the
 /// bump rules (frame layout changes and cache schema bumps).
 ///
-/// History: v1 initial; v2 added `RunRequest::no_fuse`; v3 added
+/// History: v1 initial; v2 added the `Run` byte now reserved (see
+/// [`RunRequest`]'s wire layout); v3 added
 /// [`Response::Expired`], the `drain` flag on [`Request::Shutdown`], and
 /// downward negotiation to [`MIN_PROTOCOL_VERSION`]; v4 pairs with cache
 /// schema 2 (columnar trace codec, word-wide checksum) and changes no
@@ -98,9 +99,6 @@ pub struct RunRequest {
     pub best: bool,
     /// Bypass the persistent artifact cache for this run.
     pub no_cache: bool,
-    /// Run sweep cells one configuration at a time instead of fused
-    /// (results are bit-identical either way).
-    pub no_fuse: bool,
     /// Output format of the final payload (`text`, `json`, `csv`,
     /// `markdown`).
     pub format: String,
@@ -117,7 +115,6 @@ impl RunRequest {
             threads: None,
             best: false,
             no_cache: false,
-            no_fuse: false,
             format: "json".into(),
         }
     }
@@ -248,6 +245,12 @@ impl Response {
     }
 }
 
+/// The frame keeps a reserved byte after `no_cache`: v2–v4 peers sent a
+/// `no_fuse` flag there, a choice between two sweep executors whose
+/// results were bit-identical. There is one executor now, so the byte
+/// selects nothing: it is written as 0 and read as a `bool` (so 2..=255
+/// stay [`WireError::BadTag`]) and discarded, and old peers that send 1
+/// are served the same run.
 impl Wire for RunRequest {
     fn put(&self, w: &mut Writer) {
         w.str(&self.experiment);
@@ -256,20 +259,19 @@ impl Wire for RunRequest {
         self.threads.put(w);
         self.best.put(w);
         self.no_cache.put(w);
-        self.no_fuse.put(w);
+        false.put(w); // reserved
         w.str(&self.format);
     }
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(RunRequest {
-            experiment: r.str()?,
-            input: r.str()?,
-            quick: <Option<bool> as Wire>::take(r)?,
-            threads: <Option<u64> as Wire>::take(r)?,
-            best: bool::take(r)?,
-            no_cache: bool::take(r)?,
-            no_fuse: bool::take(r)?,
-            format: r.str()?,
-        })
+        let experiment = r.str()?;
+        let input = r.str()?;
+        let quick = <Option<bool> as Wire>::take(r)?;
+        let threads = <Option<u64> as Wire>::take(r)?;
+        let best = bool::take(r)?;
+        let no_cache = bool::take(r)?;
+        bool::take(r)?; // reserved
+        let format = r.str()?;
+        Ok(RunRequest { experiment, input, quick, threads, best, no_cache, format })
     }
 }
 

@@ -277,6 +277,9 @@ struct SchedState {
     /// Queued **and running** batches, so duplicates attach to in-flight
     /// work too; entries leave when their terminal frame has been sent.
     index: HashMap<RunRequest, Arc<Batch>>,
+    /// This server's workers not running a batch. A peer steals only
+    /// while this is 0 (see [`ShardHandle::steal`]).
+    idle_workers: usize,
 }
 
 struct Shared {
@@ -482,6 +485,9 @@ impl Server {
     pub fn serve(self) -> std::io::Result<()> {
         let Server { listener, shared } = self;
         let mut workers = Vec::new();
+        // Counted idle before they start, so no peer steals a batch
+        // queued while a worker thread is still starting up.
+        shared.state.lock().unwrap().idle_workers = shared.cfg.workers.max(1);
         for _ in 0..shared.cfg.workers.max(1) {
             let shared = Arc::clone(&shared);
             workers.push(std::thread::spawn(move || worker_loop(&shared)));
@@ -584,7 +590,11 @@ impl Shared {
             runner,
             experiments,
             cfg,
-            state: Mutex::new(SchedState { queue: VecDeque::new(), index: HashMap::new() }),
+            state: Mutex::new(SchedState {
+                queue: VecDeque::new(),
+                index: HashMap::new(),
+                idle_workers: 0,
+            }),
             work_ready: Condvar::new(),
             stop: AtomicBool::new(false),
             drain_done: AtomicBool::new(false),
@@ -629,13 +639,19 @@ impl ShardHandle {
     }
 
     /// Pops the most recently queued batch for execution elsewhere, or
-    /// `None` when the queue is empty. LIFO on purpose: the oldest
-    /// batches are what the owner's own workers pop next, so stealing
-    /// from the back minimises contention with them. The batch stays in
-    /// the owner's request index until its terminal frame — late
-    /// duplicates keep attaching to it while it runs on the thief.
+    /// `None` when the queue is empty or the owner has an idle worker
+    /// (which is about to take that batch itself: only a busy server's
+    /// work is stolen). LIFO on purpose: the oldest batches are what the
+    /// owner's own workers pop next, so stealing from the back minimises
+    /// contention with them. The batch stays in the owner's request
+    /// index until its terminal frame — late duplicates keep attaching
+    /// to it while it runs on the thief.
     pub fn steal(&self) -> Option<StolenBatch> {
-        let batch = self.shared.state.lock().unwrap().queue.pop_back()?;
+        let mut state = self.shared.state.lock().unwrap();
+        if state.idle_workers > 0 {
+            return None;
+        }
+        let batch = state.queue.pop_back()?;
         Some(StolenBatch { owner: Arc::clone(&self.shared), batch })
     }
 
@@ -919,37 +935,46 @@ fn handle_run(conn: Box<dyn Conn>, shared: &Shared, req: RunRequest, version: u3
 const STEAL_POLL: Duration = Duration::from_millis(10);
 
 fn worker_loop(shared: &Arc<Shared>) {
+    // This worker counts in `idle_workers` whenever it is not running a
+    // batch (from spawn on, see `Server::serve`).
+    let mut state = shared.state.lock().unwrap();
     loop {
-        let (owner, batch) = 'acquire: {
-            let mut state = shared.state.lock().unwrap();
-            loop {
-                if let Some(batch) = state.queue.pop_front() {
-                    break 'acquire (Arc::clone(shared), batch);
-                }
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                let source = shared.steal_source.lock().unwrap().clone();
-                match source {
-                    Some(src) => {
-                        // The source locks *other* servers' schedulers;
-                        // holding our own here while a peer's thief
-                        // holds theirs and locks ours would deadlock.
-                        drop(state);
-                        if let Some(StolenBatch { owner, batch }) = src() {
-                            shared.steals.fetch_add(1, Ordering::Relaxed);
-                            break 'acquire (owner, batch);
-                        }
-                        state = shared.state.lock().unwrap();
+        let mut work = state.queue.pop_front().map(|batch| (Arc::clone(shared), batch));
+        if work.is_none() {
+            if shared.stop.load(Ordering::SeqCst) {
+                state.idle_workers -= 1;
+                return;
+            }
+            let source = shared.steal_source.lock().unwrap().clone();
+            match source {
+                Some(src) => {
+                    // The source locks *other* servers' schedulers;
+                    // holding our own here while a peer's thief holds
+                    // theirs and locks ours would deadlock.
+                    drop(state);
+                    let stolen = src();
+                    state = shared.state.lock().unwrap();
+                    if let Some(StolenBatch { owner, batch }) = stolen {
+                        shared.steals.fetch_add(1, Ordering::Relaxed);
+                        work = Some((owner, batch));
+                    } else if state.queue.is_empty() {
                         // Timed wait: peer queues fill without signalling
                         // our condvar, so re-poll the source periodically.
+                        // (A batch pushed while we polled peers is taken
+                        // on the next turn, without waiting.)
                         state = shared.work_ready.wait_timeout(state, STEAL_POLL).unwrap().0;
                     }
-                    None => state = shared.work_ready.wait(state).unwrap(),
                 }
+                None => state = shared.work_ready.wait(state).unwrap(),
             }
-        };
-        run_batch(&owner, &batch);
+        }
+        if let Some((owner, batch)) = work {
+            state.idle_workers -= 1;
+            drop(state);
+            run_batch(&owner, &batch);
+            state = shared.state.lock().unwrap();
+            state.idle_workers += 1;
+        }
     }
 }
 

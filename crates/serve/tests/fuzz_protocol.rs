@@ -8,9 +8,9 @@
 //! A byte flip can land inside free-form content (a string byte, a
 //! counter) and yield a *different valid* message; the invariant there
 //! is canonicality: whatever decodes must re-encode to the exact bytes
-//! it was decoded from.
+//! it was decoded from, save two named designed aliases (see [`sweep`]).
 
-use mg_isa::wire::{from_bytes, read_frame, to_bytes, write_frame, Wire, WireError};
+use mg_isa::wire::{from_bytes, read_frame, to_bytes, write_frame, Wire, WireError, Writer};
 use mg_serve::{Request, Response, RunRequest};
 
 /// One exemplar per variant, with every optional field populated in at
@@ -24,7 +24,6 @@ fn requests() -> Vec<Request> {
             threads: Some(4),
             best: true,
             no_cache: true,
-            no_fuse: true,
             input: "tiny".into(),
             format: "markdown".into(),
             ..RunRequest::new("fig8-bandwidth")
@@ -53,10 +52,20 @@ fn responses() -> Vec<Response> {
     ]
 }
 
+/// Offset of the reserved byte in an encoded `Request::Run` (see
+/// `RunRequest`'s wire layout): the byte just before the trailing
+/// `format` string.
+fn reserved_offset(req: &RunRequest) -> usize {
+    let mut format = Writer::new();
+    format.str(&req.format);
+    to_bytes(&Request::Run(req.clone())).len() - format.len() - 1
+}
+
 /// Every strict prefix must fail to decode (the codec is
 /// prefix-deterministic and `from_bytes` demands full consumption),
-/// and no corruption may panic.
-fn sweep<T: Wire + PartialEq + std::fmt::Debug>(value: &T) {
+/// and no corruption may panic. `reserved` is the offset of a byte the
+/// decoder reads and discards, if `value` has one.
+fn sweep<T: Wire + PartialEq + std::fmt::Debug>(value: &T, reserved: Option<usize>) {
     let bytes = to_bytes(value);
     assert_eq!(&from_bytes::<T>(&bytes).expect("round trip"), value);
 
@@ -89,18 +98,22 @@ fn sweep<T: Wire + PartialEq + std::fmt::Debug>(value: &T) {
             match from_bytes::<T>(&mutated) {
                 Err(_) => {}
                 Ok(decoded) => {
-                    // One designed alias breaks strict canonicality:
-                    // the bare-tag v2 `Shutdown` frame decodes as
+                    // Two designed aliases break strict canonicality.
+                    // (1) The bare-tag v2 `Shutdown` frame decodes as
                     // `drain: true` and re-encodes with the explicit
-                    // flag byte appended. Accept an alias only when
-                    // the input is a prefix of the canonical bytes and
-                    // the canonical bytes decode back to the same
-                    // value.
+                    // flag byte appended: accepted only when the input
+                    // is a prefix of the canonical bytes and the
+                    // canonical bytes decode back to the same value.
                     let reencoded = to_bytes(&decoded);
                     let canonical_alias = reencoded.starts_with(&mutated)
                         && from_bytes::<T>(&reencoded).as_ref() == Ok(&decoded);
+                    // (2) A `Run` frame's reserved byte is read and
+                    // discarded: accepted only at that offset, and only
+                    // when the flipped frame decodes to the unflipped
+                    // value.
+                    let reserved_alias = reserved == Some(i) && decoded == *value;
                     assert!(
-                        reencoded == mutated || canonical_alias,
+                        reencoded == mutated || canonical_alias || reserved_alias,
                         "flip {flip:#x} at {i} of {value:?} decoded non-canonically"
                     );
                 }
@@ -112,15 +125,35 @@ fn sweep<T: Wire + PartialEq + std::fmt::Debug>(value: &T) {
 #[test]
 fn every_request_survives_truncation_and_byte_flips() {
     for req in requests() {
-        sweep(&req);
+        let reserved = match &req {
+            Request::Run(run) => Some(reserved_offset(run)),
+            _ => None,
+        };
+        sweep(&req, reserved);
     }
 }
 
 #[test]
 fn every_response_survives_truncation_and_byte_flips() {
     for resp in responses() {
-        sweep(&resp);
+        sweep(&resp, None);
     }
+}
+
+/// A v2–v4 peer that still sets the retired flag in the reserved byte is
+/// served the same run: 1 there decodes to the request 0 does, and any
+/// other value is still a bad tag.
+#[test]
+fn reserved_run_byte_is_read_and_discarded() {
+    let run = RunRequest { quick: Some(true), ..RunRequest::new("fig8_regfile") };
+    let at = reserved_offset(&run);
+    let canonical = to_bytes(&Request::Run(run.clone()));
+    assert_eq!(canonical[at], 0, "the reserved byte is written as 0");
+    let mut old_peer = canonical.clone();
+    old_peer[at] = 1;
+    assert_eq!(from_bytes::<Request>(&old_peer).unwrap(), Request::Run(run));
+    old_peer[at] = 2;
+    assert!(matches!(from_bytes::<Request>(&old_peer), Err(WireError::BadTag(_))));
 }
 
 /// The frame layer on top: torn streams and damaged headers must come

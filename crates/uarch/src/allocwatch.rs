@@ -8,11 +8,11 @@
 //!
 //! The crate cannot see allocations by itself: a test harness installs a
 //! counting `#[global_allocator]` that calls [`record`] on every
-//! allocation (see `tests/alloc.rs`), warms the simulator up past its
-//! one-time growth (trace buffers, wheel slots), then [`arm`]s the
-//! tripwire for the steady-state run. Unarmed — the default — the checks
-//! are two relaxed atomic loads per cycle in debug builds and compiled
-//! out entirely in release builds.
+//! allocation (see `tests/alloc.rs`), builds a simulator (construction
+//! is where everything is allocated), then [`arm`]s the tripwire for the
+//! whole run. Unarmed — the default — the checks are two relaxed atomic
+//! loads per cycle in debug builds and compiled out entirely in release
+//! builds.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -34,8 +34,8 @@ pub fn count() -> u64 {
 }
 
 /// Arms the per-cycle zero-allocation assertion in the simulator's cycle
-/// loop (debug builds only). Arm only after warm-up: one-time capacity
-/// growth is legitimate.
+/// loop (debug builds only). Arm after construction: allocating there
+/// is legitimate.
 pub fn arm() {
     ARMED.store(true, Ordering::Relaxed);
 }

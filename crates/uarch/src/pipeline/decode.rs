@@ -5,8 +5,8 @@
 //! Everything here is **configuration-independent** — a pure function of
 //! the program image and its handle catalog — so one [`Predecode`] can be
 //! built per image and shared (via `Arc`) across every simulation of that
-//! image: the scalar path, every replica of a fused multi-config sweep,
-//! and repeated runs of the same prepared workload.
+//! image: every configuration of a multi-config sweep and repeated runs
+//! of the same prepared workload.
 //!
 //! The configuration-*dependent* flattening of the MGT (`MgtLanes`)
 //! lives here too: it replaces per-issue `MgSchedule` lookups (and the

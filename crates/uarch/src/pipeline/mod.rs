@@ -21,12 +21,6 @@
 //! reproducing the misprediction penalty of the paper's pipeline without
 //! wrong-path cache pollution (see `DESIGN.md` §2 for the substitution
 //! argument).
-//!
-//! The simulator is **resumable**: [`Simulator::advance`] pauses between
-//! cycles once fetch reaches a caller-chosen trace position, which is
-//! what lets the harness advance several configurations of one workload
-//! in lockstep over shared, cache-resident trace and predecode state
-//! (fused sweeps) while producing bit-identical statistics.
 
 pub(crate) mod commit;
 pub mod decode;
@@ -60,9 +54,8 @@ pub(crate) const MAX_FETCH_LINES: u32 = 2;
 /// The trace-driven cycle-level simulator.
 ///
 /// Construct with [`Simulator::new`] (or [`Simulator::with_predecode`]
-/// to share one predecode plane across runs), run to completion with
-/// [`Simulator::run`], or step incrementally with
-/// [`Simulator::advance`] + [`Simulator::into_stats`].
+/// to share one predecode plane across runs) and run to completion with
+/// [`Simulator::run`].
 pub struct Simulator<'a> {
     pub(crate) cfg: SimConfig,
     pub(crate) prog: &'a Program,
@@ -109,14 +102,14 @@ pub struct Simulator<'a> {
     pub(crate) resv_wb: Vec<u16>,
     pub(crate) now: u64,
     pub(crate) stats: SimStats,
-    // Run bookkeeping (fields so `advance` can pause and resume).
+    // Run bookkeeping.
     /// Number of trace operations this run simulates.
     pub(crate) limit: usize,
     /// Cycles actually simulated (idle-skipped spans excluded).
     pub(crate) worked: u64,
-    /// Wedge bound on `worked` (see [`Simulator::advance`]).
+    /// Wedge bound on `worked` (see [`Simulator::run`]).
     pub(crate) cycle_cap: u64,
-    // Idle-skip bookkeeping, reset every cycle (see `advance`).
+    // Idle-skip bookkeeping, reset every cycle (see `run_cycles`).
     /// Machine state changed this cycle (commit/complete/issue/dispatch/
     /// fetch touched something beyond the per-cycle stat sums).
     pub(crate) progress: bool,
@@ -142,7 +135,7 @@ impl<'a> Simulator<'a> {
 
     /// Like [`Simulator::new`], but reuses a predecode plane previously
     /// built (by [`Predecode::new`]) for exactly this `prog`/`catalog`
-    /// pair — the sharing hook for fused sweeps and warm re-runs.
+    /// pair — the sharing hook for multi-config sweeps and warm re-runs.
     pub fn with_predecode(
         cfg: SimConfig,
         prog: &'a Program,
@@ -229,31 +222,26 @@ impl<'a> Simulator<'a> {
     ///
     /// Panics if the image contains integer-memory handles but the machine
     /// has no sliding-window scheduler, or handles with no mini-graph
-    /// support at all (selection policy and machine must agree).
+    /// support at all (selection policy and machine must agree); also
+    /// asserts the wedge bound on worked cycles.
     pub fn run(mut self) -> SimStats {
-        let done = self.advance(usize::MAX);
-        debug_assert!(done, "unbounded advance must drain the machine");
-        self.into_stats()
+        self.run_cycles();
+        let mut stats = self.stats;
+        stats.cycles = self.now;
+        stats.il1_accesses = self.mem.il1.accesses;
+        stats.il1_misses = self.mem.il1.misses;
+        stats.dl1_accesses = self.mem.dl1.accesses;
+        stats.dl1_misses = self.mem.dl1.misses;
+        stats.l2_accesses = self.mem.l2.accesses;
+        stats.l2_misses = self.mem.l2.misses;
+        stats
     }
 
-    /// Simulates cycles until either the machine drains (returns `true`)
-    /// or — checked between cycles, so pausing perturbs nothing — fetch
-    /// has reached trace position `fetch_target` (returns `false`).
-    ///
-    /// Callers resume by calling again with a larger target; a squash may
-    /// move fetch *backwards* past an already-satisfied target, in which
-    /// case the resumed call simply simulates further. Passing
-    /// `usize::MAX` runs to completion.
-    ///
-    /// # Panics
-    ///
-    /// As [`Simulator::run`]; additionally asserts the wedge bound on
-    /// worked cycles.
-    pub fn advance(&mut self, fetch_target: usize) -> bool {
+    /// The cycle loop of [`Simulator::run`], until the machine drains.
+    /// It stays a `&mut self` method: inlined into the by-value `run`, the
+    /// request mix of the `serve_mix` benchmark ran ≈ 3% slower.
+    fn run_cycles(&mut self) {
         while !(self.fetch_ptr >= self.limit && self.frontq.is_empty() && self.rob.is_empty()) {
-            if self.fetch_ptr >= fetch_target {
-                return false;
-            }
             // Hot-path allocation tripwire (debug builds, armed test
             // harnesses only): a simulated cycle must not touch the heap.
             #[cfg(debug_assertions)]
@@ -305,20 +293,6 @@ impl<'a> Simulator<'a> {
             }
             self.now += 1;
         }
-        true
-    }
-
-    /// Consumes the (drained) simulator and finalizes its statistics.
-    pub fn into_stats(self) -> SimStats {
-        let mut stats = self.stats;
-        stats.cycles = self.now;
-        stats.il1_accesses = self.mem.il1.accesses;
-        stats.il1_misses = self.mem.il1.misses;
-        stats.dl1_accesses = self.mem.dl1.accesses;
-        stats.dl1_misses = self.mem.dl1.misses;
-        stats.l2_accesses = self.mem.l2.accesses;
-        stats.l2_misses = self.mem.l2.misses;
-        stats
     }
 
     /// Logical ROB index (0 = oldest) of the live entry with sequence

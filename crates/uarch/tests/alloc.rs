@@ -1,11 +1,11 @@
-//! Steady-state zero-allocation test for the pipeline hot loop.
+//! Zero-allocation test for the pipeline hot loop.
 //!
 //! Installs a counting global allocator feeding `mg_uarch::allocwatch`,
-//! warms a simulator past its one-time capacity growth (trace recording,
-//! event-wheel slot buffers, queue rings), then arms the per-cycle
-//! tripwire and runs the remainder: any heap allocation inside a
-//! simulated cycle panics with a count (debug builds — the check in the
-//! cycle loop is `debug_assertions`-gated).
+//! builds a simulator (construction sizes every ring, lane and wheel
+//! buffer up front), then arms the per-cycle tripwire and runs the whole
+//! trace: any heap allocation inside any simulated cycle, from cycle 0
+//! on, panics with a count (debug builds — the check in the cycle loop
+//! is `debug_assertions`-gated).
 
 use mg_isa::{reg, Asm, HandleCatalog, Memory, Program};
 use mg_profile::{record_trace, Trace};
@@ -40,8 +40,8 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// A kernel mixing the allocation-prone behaviours: loads and stores
 /// (LQ/SQ churn, cache misses → far completion events), a data-dependent
-/// branch (mispredict squashes), and enough iterations to leave any
-/// warm-up growth far behind.
+/// branch (mispredict squashes), and enough iterations to reach every
+/// queue's steady state.
 fn image() -> (Program, Trace) {
     let mut a = Asm::new();
     a.li(reg(1), 6_000);
@@ -69,22 +69,10 @@ fn steady_state_cycles_do_not_allocate() {
     let (prog, trace) = image();
     let catalog = HandleCatalog::new();
     let pd = Arc::new(Predecode::new(&prog, &catalog));
-    let mut sim = Simulator::with_predecode(
-        SimConfig::baseline(),
-        &prog,
-        &trace,
-        &catalog,
-        Arc::clone(&pd),
-    );
-    // Warm-up: first quarter of the trace covers every one-time growth
-    // (wheel overflow heap, harvest buffers, queue capacity).
-    let warm = trace.len() / 4;
-    assert!(!sim.advance(warm), "kernel must outlast the warm-up window");
+    let sim = Simulator::with_predecode(SimConfig::baseline(), &prog, &trace, &catalog, pd);
     allocwatch::arm();
-    let done = sim.advance(usize::MAX);
+    let stats = sim.run();
     allocwatch::disarm();
-    assert!(done, "simulation runs to completion");
-    let stats = sim.into_stats();
     assert!(stats.mispredicts > 0, "kernel exercises squash paths");
     assert!(stats.cycles > 0);
 }

@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 3. Rewrite: handles at anchors, pads elsewhere.
-    let image = prep.image(&policy, RewriteStyle::NopPadded);
+    let image = prep.try_image(&policy, RewriteStyle::NopPadded)?;
     println!("\nrewritten image plants {} handle(s):", selection.chosen.len());
     for line in image.program.listing().lines() {
         println!("  {line}");

@@ -20,16 +20,16 @@ const RESULT_ADDR: u64 = 0x8000;
 fn all_workloads_rewrite_equivalently() {
     for w in all() {
         let input = Input::tiny();
-        let prep = Prep::new(&w, &input);
+        let prep = Prep::try_new(&w, &input).unwrap();
         let policy = Policy::integer_memory();
 
-        let mut m0 = prep.fresh_memory();
+        let mut m0 = prep.try_fresh_memory().unwrap();
         run_program(&prep.prog, &mut m0, None, 200_000_000).expect("original halts");
         let expected = m0.read_u64(RESULT_ADDR);
 
         for style in [RewriteStyle::NopPadded, RewriteStyle::Compressed] {
-            let image = prep.image(&policy, style);
-            let mut m1 = prep.fresh_memory();
+            let image = prep.try_image(&policy, style).unwrap();
+            let mut m1 = prep.try_fresh_memory().unwrap();
             run_program(&image.program, &mut m1, Some(&image.catalog), 200_000_000)
                 .unwrap_or_else(|e| panic!("{}: rewritten image failed: {e}", w.name));
             assert_eq!(
@@ -49,12 +49,12 @@ fn all_workloads_rewrite_equivalently() {
 #[test]
 fn amplification_accounting_identity() {
     let w = by_name("gsm.toast").expect("registered");
-    let prep = Prep::new(&w, &Input::tiny());
+    let prep = Prep::try_new(&w, &Input::tiny()).unwrap();
     let policy = Policy::integer_memory();
     let sel = prep.select(&policy);
 
-    let base = prep.base_trace();
-    let mg = prep.image(&policy, RewriteStyle::NopPadded);
+    let base = prep.try_base_trace().unwrap();
+    let mg = prep.try_image(&policy, RewriteStyle::NopPadded).unwrap();
 
     assert_eq!(base.insts, mg.trace.insts, "same original instruction stream");
     let fetched_saved = base.ops.len() as u64 - mg.trace.ops.len() as u64;
@@ -101,8 +101,8 @@ fn timing_simulation_consistency() {
 #[test]
 fn dise_expansion_fallback_round_trips() {
     let w = by_name("crc32").expect("registered");
-    let prep = Prep::new(&w, &Input::tiny());
-    let image = prep.image(&Policy::integer_memory(), RewriteStyle::NopPadded);
+    let prep = Prep::try_new(&w, &Input::tiny()).unwrap();
+    let image = prep.try_image(&Policy::integer_memory(), RewriteStyle::NopPadded).unwrap();
 
     let engine = expansion_engine(
         &image.catalog,
@@ -110,9 +110,9 @@ fn dise_expansion_fallback_round_trips() {
     );
     let expanded = engine.expand_image(&image.program).expect("expansion succeeds");
 
-    let mut m0 = prep.fresh_memory();
+    let mut m0 = prep.try_fresh_memory().unwrap();
     run_program(&prep.prog, &mut m0, None, 200_000_000).unwrap();
-    let mut m1 = prep.fresh_memory();
+    let mut m1 = prep.try_fresh_memory().unwrap();
     run_program(&expanded, &mut m1, None, 200_000_000).unwrap();
     assert_eq!(
         m0.read_u64(RESULT_ADDR),
