@@ -15,6 +15,7 @@ use crate::experiments::{
     fig8_regfile_runs, icache_policy, icache_runs, iq_capacity_runs, FIG5_CAPACITIES,
     FIG5_SIZES, FIG7_FOCUS, IQ_SIZES, REGFILE_SIZES,
 };
+use mg_api::MgErrorKind;
 use mg_core::{select, select_domain, MiniGraph, Policy, RewriteStyle};
 use mg_harness::{by_suite, gmean, Engine, Prep, PrepCache, Run};
 use mg_isa::{MgTemplate, Opcode, TmplInst, TmplOperand};
@@ -425,6 +426,10 @@ struct Measurement {
     name: &'static str,
     prep_ms: f64,
     run_ms: f64,
+    /// Simulations actually run: cells copied from an identical
+    /// (workload, image, config) cell count once.
+    simulations: usize,
+    /// Cycles and committed ops over the simulated cells only.
     sim_cycles: u64,
     sim_ops: u64,
     /// Pure selector wall-clock (the per-policy `select_<family>` rows
@@ -447,11 +452,12 @@ impl Measurement {
         };
         let mut row = format!(
             "    {{\"name\": \"{}\", \"wall_ms\": {:.1}, \"prep_ms\": {:.1}, \
-             \"run_ms\": {:.1}, \"sim_cycles\": {}, \"sim_ops\": {}",
+             \"run_ms\": {:.1}, \"simulations\": {}, \"sim_cycles\": {}, \"sim_ops\": {}",
             self.name,
             self.wall_ms(),
             self.prep_ms,
             self.run_ms,
+            self.simulations,
             self.sim_cycles,
             self.sim_ops,
         );
@@ -499,10 +505,13 @@ fn perf_sim_experiment(
     let t = Instant::now();
     let matrix = engine.run(runs);
     let run_ms = t.elapsed().as_secs_f64() * 1e3;
-    let stats = matrix.rows.iter().flat_map(|r| r.stats.iter());
-    let (sim_cycles, sim_ops) = stats.fold((0, 0), |(c, o), s| (c + s.cycles, o + s.ops));
+    let simulated = matrix.rows.iter().flat_map(|r| {
+        r.stats.iter().zip(&r.simulated).filter_map(|(s, &simulated)| simulated.then_some(s))
+    });
+    let (sim_cycles, sim_ops) = simulated.fold((0, 0), |(c, o), s| (c + s.cycles, o + s.ops));
+    let simulations = matrix.simulations();
     eprintln!("{name:14} prep {prep_ms:8.1} ms  run {run_ms:8.1} ms  {sim_cycles:>10} cycles");
-    Measurement { name, prep_ms, run_ms, sim_cycles, sim_ops, selection_ms: None }
+    Measurement { name, prep_ms, run_ms, simulations, sim_cycles, sim_ops, selection_ms: None }
 }
 
 /// A synthetic selection workload far past the real candidate pools: many
@@ -550,6 +559,7 @@ fn perf_select_stress(quick: bool) -> Measurement {
         name: "select_stress",
         prep_ms: 0.0,
         run_ms,
+        simulations: 0,
         sim_cycles: 0,
         sim_ops: sel.chosen.len() as u64,
         selection_ms: Some(run_ms),
@@ -587,6 +597,7 @@ fn perf_selection_policies(args: &RunArgs, quick: bool) -> Vec<Measurement> {
                 name,
                 prep_ms: 0.0,
                 run_ms,
+                simulations: 0,
                 sim_cycles: 0,
                 sim_ops: chosen,
                 selection_ms: Some(run_ms),
@@ -607,6 +618,7 @@ fn perf_fig5_experiment(args: &RunArgs, quick: bool) -> Measurement {
         name: "fig5_coverage",
         prep_ms,
         run_ms,
+        simulations: 0,
         sim_cycles: 0,
         sim_ops: selected,
         selection_ms: None,
@@ -651,6 +663,7 @@ fn perf_artifact_sweep(
         name,
         prep_ms,
         run_ms,
+        simulations: 0,
         sim_cycles: 0,
         sim_ops: selected + artifact_ops,
         selection_ms: None,
@@ -660,9 +673,13 @@ fn perf_artifact_sweep(
 /// Extracts the recorded mode and `(name, wall_ms)` pairs from a report
 /// previously written by this driver (line-oriented scan; not a general
 /// JSON parser).
-fn read_perf_baseline(path: &str) -> (String, Vec<(String, f64)>) {
+///
+/// # Errors
+///
+/// The rendered I/O error when `path` cannot be read.
+fn read_perf_baseline(path: &str) -> Result<(String, Vec<(String, f64)>), String> {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
+        .map_err(|e| format!("cannot read baseline {path}: {e}"))?;
     let mut mode = String::new();
     let mut rows = Vec::new();
     for line in text.lines() {
@@ -685,7 +702,16 @@ fn read_perf_baseline(path: &str) -> (String, Vec<(String, f64)>) {
             rows.push((name, wall));
         }
     }
-    (mode, rows)
+    Ok((mode, rows))
+}
+
+/// A perf report that stopped on an error: the error on one line and
+/// `kind`'s exit status.
+fn perf_error(kind: MgErrorKind, message: String) -> Report {
+    let mut r = Report::new("perf");
+    r.line(format!("error: {message}"));
+    r.status = kind.exit_code();
+    r
 }
 
 /// The benchmark driver: times every figure sweep and the artifact cache
@@ -696,6 +722,26 @@ fn read_perf_baseline(path: &str) -> (String, Vec<(String, f64)>) {
 pub fn perf(args: &RunArgs) -> Report {
     let quick = args.is_quick(true);
     let mode = if quick { "quick" } else { "full" };
+    // The baseline is read before anything is measured, so a bad path
+    // fails in milliseconds, not after the whole sweep.
+    let baseline = match args.baseline.as_deref().map(read_perf_baseline).transpose() {
+        Ok(baseline) => baseline,
+        Err(e) => return perf_error(MgErrorKind::Io, e),
+    };
+    if let (Some(path), Some((base_mode, _))) = (&args.baseline, &baseline) {
+        // Quick and full wall clocks differ by an order of magnitude:
+        // comparing across modes is either a vacuous pass or a spurious
+        // failure, so refuse outright.
+        if base_mode != mode {
+            return perf_error(
+                MgErrorKind::InvalidSpec,
+                format!(
+                    "baseline {path} was recorded in {base_mode:?} mode but this run is \
+                     {mode:?}; regenerate the baseline in the same mode"
+                ),
+            );
+        }
+    }
     eprintln!("perf_report: mode {mode}");
 
     let mut measurements = vec![
@@ -727,21 +773,13 @@ pub fn perf(args: &RunArgs) -> Report {
          \"experiments\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
-    std::fs::write(&args.out, &json)
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", args.out));
+    if let Err(e) = std::fs::write(&args.out, &json) {
+        return perf_error(MgErrorKind::Io, format!("cannot write {}: {e}", args.out));
+    }
     eprintln!("wrote {}", args.out);
 
     let mut status = 0;
-    if let Some(path) = &args.baseline {
-        let (base_mode, baseline) = read_perf_baseline(path);
-        // Quick and full wall clocks differ by an order of magnitude:
-        // comparing across modes is either a vacuous pass or a spurious
-        // failure, so refuse outright.
-        assert_eq!(
-            base_mode, mode,
-            "baseline {path} was recorded in {base_mode:?} mode but this run is {mode:?}; \
-             regenerate the baseline in the same mode"
-        );
+    if let (Some(path), Some((_, baseline))) = (&args.baseline, &baseline) {
         for m in &measurements {
             let Some((_, old)) = baseline.iter().find(|(n, _)| n == m.name) else {
                 eprintln!("note: {} absent from baseline {path}", m.name);
@@ -767,7 +805,7 @@ pub fn perf(args: &RunArgs) -> Report {
     let mut r = Report::new("perf");
     let mut t = TableBlock::new(
         "perf.experiments",
-        &["name", "wall_ms", "prep_ms", "run_ms", "sim_cycles", "sim_ops"],
+        &["name", "wall_ms", "prep_ms", "run_ms", "simulations", "sim_cycles", "sim_ops"],
     )
     .hidden();
     for m in &measurements {
@@ -776,6 +814,7 @@ pub fn perf(args: &RunArgs) -> Report {
             format!("{:.1}", m.wall_ms()),
             format!("{:.1}", m.prep_ms),
             format!("{:.1}", m.run_ms),
+            m.simulations.to_string(),
             m.sim_cycles.to_string(),
             m.sim_ops.to_string(),
         ]);

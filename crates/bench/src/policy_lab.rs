@@ -10,7 +10,9 @@
 //!   family's internal ranking;
 //! * **IPC** — a real timing simulation of each family's rewritten
 //!   image under the integer-memory machine configuration, executed
-//!   through the sweep path ([`Prep::try_run_selector_sweep`]);
+//!   through the sweep path ([`Prep::run_shared`]); families whose
+//!   selections are equal simulate the same image, so they share one
+//!   simulation and only the first of them builds the image;
 //! * **selection time** — wall-clock milliseconds spent inside the
 //!   selector itself (preparation and simulation excluded);
 //! * **optimality gap** — saved slots left on the table versus the
@@ -19,13 +21,13 @@
 //!   the bounds are reported uncertified, never estimated.
 //!
 //! Selections and rewritten images are memoized and persisted per
-//! selector id (see `mg_harness::prep_cache`): running the lab warms a
-//! disjoint cache-key space per family and never touches cached greedy
-//! artifacts.
+//! selector id (see `mg_harness::prep_cache`): each family's artifacts
+//! live in a cache-key space of their own, so the lab never poisons
+//! cached greedy artifacts.
 
 use crate::cli::{Report, RunArgs, TableBlock};
 use mg_core::{Policy, RewriteStyle, Selection, Selector};
-use mg_harness::{gmean, Prep};
+use mg_harness::{gmean, Prep, SweepImage};
 use mg_policy::{all_selectors, DpCertifier};
 use mg_uarch::SimConfig;
 use std::sync::Arc;
@@ -41,37 +43,47 @@ struct LabCell {
     gap_pct: f64,
 }
 
-/// Measures every family on one prepared workload. IPC is `None` when
-/// the rewritten image fails to simulate (surfaced as an error row, not
-/// a panic, so one bad workload cannot sink the whole lab).
+/// Measures every family on one prepared workload. Families whose
+/// selections are equal share one IPC simulation (the image-identity rule
+/// of [`Prep::run_shared`]): a duplicate family's image is never built.
+/// IPC is `None` when the rewritten image fails to simulate (surfaced as
+/// an error row, not a panic, so one bad workload cannot sink the whole
+/// lab).
 fn run_workload(prep: &Prep, policy: &Policy, selectors: &[Arc<dyn Selector>]) -> Vec<LabCell> {
     let certifier = DpCertifier::new(&prep.select_inputs(), policy);
-    selectors
+    let mut cells: Vec<LabCell> = selectors
         .iter()
         .map(|s| {
             let t = Instant::now();
             let sel: Arc<Selection> = prep.select_with(s.as_ref(), policy);
             let select_ms = t.elapsed().as_secs_f64() * 1e3;
             let gap = certifier.evaluate(&sel, &prep.cfg);
-            let ipc = prep
-                .try_run_selector_sweep(
-                    s.as_ref(),
-                    policy,
-                    RewriteStyle::NopPadded,
-                    &[SimConfig::mg_integer_memory()],
-                )
-                .ok()
-                .and_then(|stats| stats.first().map(mg_uarch::SimStats::ipc));
             LabCell {
                 family: s.id().to_string(),
                 coverage: sel.coverage(prep.total_dyn),
-                ipc,
+                ipc: None,
                 select_ms,
                 gap: gap.gap(),
                 gap_pct: gap.gap_pct(),
             }
         })
-        .collect()
+        .collect();
+    let requests: Vec<(SweepImage<'_>, Vec<SimConfig>)> = selectors
+        .iter()
+        .map(|s| {
+            let image = SweepImage::MiniGraph {
+                selector: s.as_ref(),
+                policy,
+                style: RewriteStyle::NopPadded,
+            };
+            (image, vec![SimConfig::mg_integer_memory()])
+        })
+        .collect();
+    let sweeps = prep.run_shared(&requests);
+    for (i, cell) in cells.iter_mut().enumerate() {
+        cell.ipc = sweeps.get(i).ok().and_then(|s| s.first()).map(|c| c.stats.ipc());
+    }
+    cells
 }
 
 /// `mg run policy_lab` — the experiment registry's builder.

@@ -8,7 +8,7 @@ use mg_profile::BasicBlock;
 
 /// A legal mini-graph candidate: a set of instructions inside one basic
 /// block, collapsible to a single handle at the anchor position.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MiniGraph {
     /// Absolute instruction indices of the members, ascending.
     pub members: Vec<usize>,

@@ -42,7 +42,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 /// One selected mini-graph instance with its assigned MGID.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChosenInstance {
     /// The candidate.
     pub graph: MiniGraph,
@@ -71,7 +71,7 @@ pub struct ChosenInstance {
 ///
 /// `tests/policy_properties.rs` asserts all three properties across every
 /// selection family on generated programs.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Selection {
     /// Selected instances (non-overlapping).
     pub chosen: Vec<ChosenInstance>,

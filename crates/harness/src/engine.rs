@@ -26,11 +26,11 @@
 
 use crate::error::{panic_message, HarnessError};
 use crate::pool::{PoolKey, PrepPool};
-use crate::prep::{by_suite, BuildFn, Prep};
+use crate::prep::{by_suite, BuildFn, Prep, SweepImage};
 use crate::prep_cache::PrepCache;
 use crate::quick::{apply_quick, quick_mode};
 use crate::report::speedup;
-use mg_core::{Policy, RewriteStyle};
+use mg_core::{GreedySelector, Policy, RewriteStyle};
 use mg_uarch::{SimConfig, SimStats};
 use mg_workloads::{Input, Suite, Workload};
 use std::panic::AssertUnwindSafe;
@@ -89,6 +89,9 @@ pub struct RunRow {
     pub prep: Arc<Prep>,
     /// One result per run spec, in the order given to [`Engine::run`].
     pub stats: Vec<SimStats>,
+    /// Per run spec: `true` when the cell ran its own simulation, `false`
+    /// when it copies an identical (image, config) cell of the row.
+    pub simulated: Vec<bool>,
 }
 
 impl RunRow {
@@ -120,6 +123,12 @@ impl RunMatrix {
     /// The row for a named workload.
     pub fn row(&self, name: &str) -> Option<&RunRow> {
         self.rows.iter().find(|r| r.prep.name == name)
+    }
+
+    /// How many simulations the matrix actually ran: one per distinct
+    /// (workload, image, config).
+    pub fn simulations(&self) -> usize {
+        self.rows.iter().flat_map(|r| &r.simulated).filter(|&&s| s).count()
     }
 }
 
@@ -566,47 +575,47 @@ impl Engine {
     /// Executes the (workload × run) matrix, fanning work out across the
     /// engine's threads. Quick mode caps each run's `max_ops`.
     ///
-    /// Columns sharing one [`Image`] — a sweep's configurations over one
-    /// cell group — form one work unit per workload, simulated as one
-    /// sweep over that image (see [`crate::fused`]); results are
-    /// scattered back to spec order. Units are claimed with the workload
-    /// as the fastest-varying dimension, so concurrently claimed units
-    /// land on distinct workloads and the per-[`Prep`] artifact caches
-    /// see one miss per (policy, style) each instead of racing duplicate
-    /// computations.
+    /// Each workload is one work unit. The unit resolves each column's
+    /// selection, merges the columns whose (selection, style) are equal
+    /// (the image-identity rule of [`Prep::run_shared`]), sweeps each
+    /// distinct image once over its columns' configs (see
+    /// [`crate::fused`]) and returns the stats in spec order, so each
+    /// distinct (image, config) pair of a workload is simulated once.
+    /// [`RunRow::simulated`] marks which cells ran their own simulation.
     pub fn run(&self, runs: &[Run]) -> RunMatrix {
         self.try_run(runs).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`Engine::run`] — the `mg_api` session path. A failing
-    /// (or panicking) unit fails the whole matrix with the first error in
-    /// claim order; successful sibling units are discarded.
+    /// (or panicking) unit, selection included, fails the whole matrix
+    /// with the first error in workload order; successful sibling units
+    /// are discarded.
     ///
     /// # Errors
     ///
     /// Whatever the failing unit's [`Prep`] accessor raised, or
     /// [`HarnessError::Panicked`] for a panicking unit.
     pub fn try_run(&self, runs: &[Run]) -> Result<RunMatrix, HarnessError> {
-        let n_preps = self.preps.len();
-        // Group run columns by image, preserving first-seen order.
-        let mut groups: Vec<(&Image, Vec<usize>)> = Vec::new();
-        for (i, run) in runs.iter().enumerate() {
-            match groups.iter_mut().find(|(img, _)| **img == run.image) {
-                Some((_, cols)) => cols.push(i),
-                None => groups.push((&run.image, vec![i])),
-            }
-        }
-        let units = n_preps * groups.len();
-        let results = run_indexed(self.threads, units, |claim| {
-            let prep = &self.preps[claim % n_preps];
-            let (image, cols) = &groups[claim / n_preps];
-            let cfgs: Vec<SimConfig> =
-                cols.iter().map(|&i| self.tune(runs[i].cfg.clone())).collect();
-            let stats = std::panic::catch_unwind(AssertUnwindSafe(|| match image {
-                Image::Baseline => prep.try_run_baseline_sweep(&cfgs),
-                Image::MiniGraph { policy, style } => {
-                    prep.try_run_policy_sweep(policy, *style, &cfgs)
-                }
+        // One request per column: `run_shared` merges the columns that
+        // simulate one image and dedups their configs.
+        let requests: Vec<(SweepImage<'_>, Vec<SimConfig>)> = runs
+            .iter()
+            .map(|run| {
+                let image = match &run.image {
+                    Image::Baseline => SweepImage::Baseline,
+                    Image::MiniGraph { policy, style } => SweepImage::MiniGraph {
+                        selector: &GreedySelector,
+                        policy,
+                        style: *style,
+                    },
+                };
+                (image, vec![self.tune(run.cfg.clone())])
+            })
+            .collect();
+        let rows = run_indexed(self.threads, self.preps.len(), |w| {
+            let prep = &self.preps[w];
+            let swept = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                prep.run_shared(&requests).into_results()
             }))
             .unwrap_or_else(|panic| {
                 Err(HarnessError::Panicked {
@@ -614,32 +623,22 @@ impl Engine {
                     message: panic_message(panic.as_ref()),
                 })
             })?;
+            let (stats, simulated) =
+                swept.into_iter().flatten().map(|cell| (cell.stats, cell.simulated)).unzip();
+            let row = RunRow { prep: Arc::clone(prep), stats, simulated };
             if let Some(observer) = &self.observer {
-                for (&col, s) in cols.iter().zip(&stats) {
+                for (run, s) in runs.iter().zip(&row.stats) {
                     observer(&CellDone {
                         workload: prep.name.clone(),
-                        label: runs[col].label.clone(),
+                        label: run.label.clone(),
                         cycles: s.cycles,
                         ops: s.ops,
                     });
                 }
             }
-            Ok(stats)
+            Ok(row)
         });
-        let mut rows: Vec<RunRow> = self
-            .preps
-            .iter()
-            .map(|prep| RunRow {
-                prep: Arc::clone(prep),
-                stats: vec![SimStats::default(); runs.len()],
-            })
-            .collect();
-        for (claim, unit) in results.into_iter().enumerate() {
-            let (_, cols) = &groups[claim / n_preps];
-            for (&col, s) in cols.iter().zip(unit?) {
-                rows[claim % n_preps].stats[col] = s;
-            }
-        }
+        let rows = rows.into_iter().collect::<Result<Vec<_>, _>>()?;
         Ok(RunMatrix { labels: runs.iter().map(|r| r.label.clone()).collect(), rows })
     }
 }

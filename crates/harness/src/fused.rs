@@ -16,7 +16,8 @@
 //!
 //! Each result is therefore exactly what [`simulate_with`] returns for
 //! that config alone — enforced over every registry workload by
-//! `tests/fused.rs`.
+//! `tests/fused.rs`. Which *images* share one sweep is decided one level
+//! up, by [`Prep::run_shared`](crate::Prep::run_shared).
 
 use mg_isa::{HandleCatalog, Program};
 use mg_profile::Trace;
@@ -34,13 +35,38 @@ pub fn run_fused(
     predecode: &Arc<Predecode>,
     cfgs: &[SimConfig],
 ) -> Vec<SimStats> {
-    let mut out: Vec<SimStats> = Vec::with_capacity(cfgs.len());
+    sweep(prog, trace, catalog, predecode, cfgs).into_iter().map(|c| c.stats).collect()
+}
+
+/// One configuration's result in a sweep.
+#[derive(Clone, Debug)]
+pub struct SweptCell {
+    /// The configuration's statistics.
+    pub stats: SimStats,
+    /// `true` when this configuration ran its own simulation; `false`
+    /// when it copies the stats of an identical earlier configuration.
+    pub simulated: bool,
+}
+
+/// [`run_fused`], reporting which results were simulated and which
+/// were copied.
+pub(crate) fn sweep(
+    prog: &Program,
+    trace: &Trace,
+    catalog: &HandleCatalog,
+    predecode: &Arc<Predecode>,
+    cfgs: &[SimConfig],
+) -> Vec<SweptCell> {
+    let mut out: Vec<SweptCell> = Vec::with_capacity(cfgs.len());
     for (i, cfg) in cfgs.iter().enumerate() {
-        let stats = match cfgs[..i].iter().position(|c| c == cfg) {
-            Some(first) => out[first].clone(),
-            None => simulate_with(cfg, prog, trace, catalog, predecode),
+        let cell = match cfgs[..i].iter().position(|c| c == cfg) {
+            Some(first) => SweptCell { stats: out[first].stats.clone(), simulated: false },
+            None => SweptCell {
+                stats: simulate_with(cfg, prog, trace, catalog, predecode),
+                simulated: true,
+            },
         };
-        out.push(stats);
+        out.push(cell);
     }
     out
 }
@@ -85,5 +111,8 @@ mod tests {
             assert_eq!(*f, scalar, "sweep stats must be bit-identical");
         }
         assert_eq!(fused[0], fused[3], "duplicate configs share one simulation");
+        let simulated: Vec<bool> =
+            sweep(&prog, &trace, &catalog, &pd, &cfgs).iter().map(|c| c.simulated).collect();
+        assert_eq!(simulated, [true, true, true, false]);
     }
 }

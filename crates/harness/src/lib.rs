@@ -62,9 +62,11 @@ pub use engine::{
     RunMatrix, RunRow,
 };
 pub use error::{BuildError, HarnessError};
-pub use fused::run_fused;
+pub use fused::{run_fused, SweptCell};
 pub use pool::{PoolKey, PrepPool};
-pub use prep::{by_suite, BuildFn, MgImage, Prep, ENUMERATION_SIZE, STEP_BUDGET};
+pub use prep::{
+    by_suite, BuildFn, MgImage, Prep, SharedSweeps, SweepImage, ENUMERATION_SIZE, STEP_BUDGET,
+};
 pub use prep_cache::{CacheStats, PrepCache, CACHE_SCHEMA_VERSION};
 pub use quick::{apply_quick, quick_mode, QUICK_MAX_OPS};
 pub use report::{gmean, speedup};

@@ -16,6 +16,7 @@
 //! an identical value).
 
 use crate::error::{BuildError, HarnessError};
+use crate::fused::{sweep, SweptCell};
 use crate::prep_cache::{self, PrepCache};
 use mg_core::{
     enumerate_candidates, rewrite, GreedySelector, MiniGraph, Policy, RewriteStyle,
@@ -26,6 +27,7 @@ use mg_profile::{build_cfg, profile_program, record_trace, BlockProfile, Cfg, Tr
 use mg_uarch::{Predecode, SimConfig, SimStats};
 use mg_workloads::{Input, Suite, Workload};
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Functional-simulation step budget for profiling/tracing runs.
@@ -525,14 +527,7 @@ impl Prep {
         &self,
         cfgs: &[SimConfig],
     ) -> Result<Vec<SimStats>, HarnessError> {
-        let t = self.try_base_trace()?;
-        Ok(crate::fused::run_fused(
-            &self.prog,
-            &t,
-            &self.base_catalog,
-            &self.base_predecode(),
-            cfgs,
-        ))
+        Ok(stats_of(self.try_sweep(SweepImage::Baseline, cfgs)?))
     }
 
     /// Simulates the rewritten image of `policy` under every
@@ -548,31 +543,125 @@ impl Prep {
         style: RewriteStyle,
         cfgs: &[SimConfig],
     ) -> Result<Vec<SimStats>, HarnessError> {
-        self.try_run_selector_sweep(&GreedySelector, policy, style, cfgs)
+        let image = SweepImage::MiniGraph { selector: &GreedySelector, policy, style };
+        Ok(stats_of(self.try_sweep(image, cfgs)?))
     }
 
-    /// Simulates the rewritten image of `(selector, policy)` under every
-    /// configuration of `cfgs` (see [`crate::fused`]) — the
-    /// selector-generalized [`Prep::try_run_policy_sweep`].
+    /// Simulates each request's image under the request's configs,
+    /// simulating each distinct image once.
+    ///
+    /// **The image-identity rule.** Within one prep, [`rewrite()`] and
+    /// [`record_trace`] depend only on the [`Selection`] and the
+    /// [`RewriteStyle`], so mini-graph requests with equal selections and
+    /// equal styles simulate the same image, whatever selector or policy
+    /// produced the selection. Such requests share one image, built or
+    /// loaded for the first of them only, and one sweep over the union of
+    /// their configs, whose config dedup (see [`crate::fused`]) then
+    /// simulates each distinct (image, config) pair once. Baseline
+    /// requests all share the original program. Selections are resolved
+    /// (and memoized) first; nothing is kept beyond this call.
+    pub fn run_shared(&self, requests: &[(SweepImage<'_>, Vec<SimConfig>)]) -> SharedSweeps {
+        let keys: Vec<Option<(Arc<Selection>, RewriteStyle)>> = requests
+            .iter()
+            .map(|(image, _)| match *image {
+                SweepImage::Baseline => None,
+                SweepImage::MiniGraph { selector, policy, style } => {
+                    Some((self.select_with(selector, policy), style))
+                }
+            })
+            .collect();
+        // Per distinct image: its first request and the union of configs.
+        let mut images: Vec<(usize, Vec<SimConfig>)> = Vec::new();
+        let mut cells = Vec::with_capacity(requests.len());
+        for (i, (key, (_, cfgs))) in keys.iter().zip(requests).enumerate() {
+            let at = match images.iter().position(|(first, _)| keys[*first] == *key) {
+                Some(at) => at,
+                None => {
+                    images.push((i, Vec::new()));
+                    images.len() - 1
+                }
+            };
+            let union = &mut images[at].1;
+            let start = union.len();
+            union.extend_from_slice(cfgs);
+            cells.push((at, start..union.len()));
+        }
+        let images = images
+            .iter()
+            .map(|(first, cfgs)| self.try_sweep(requests[*first].0, cfgs))
+            .collect();
+        SharedSweeps { images, cells }
+    }
+
+    /// Sweeps one image (see [`crate::fused`]) — every simulation entry
+    /// point of a prep ends here.
+    fn try_sweep(
+        &self,
+        image: SweepImage<'_>,
+        cfgs: &[SimConfig],
+    ) -> Result<Vec<SweptCell>, HarnessError> {
+        Ok(match image {
+            SweepImage::Baseline => {
+                let t = self.try_base_trace()?;
+                sweep(&self.prog, &t, &self.base_catalog, &self.base_predecode(), cfgs)
+            }
+            SweepImage::MiniGraph { selector, policy, style } => {
+                let img = self.try_image_with(selector, policy, style)?;
+                sweep(&img.program, &img.trace, &img.catalog, &img.predecode(), cfgs)
+            }
+        })
+    }
+}
+
+fn stats_of(cells: Vec<SweptCell>) -> Vec<SimStats> {
+    cells.into_iter().map(|c| c.stats).collect()
+}
+
+/// The image a [`Prep::run_shared`] request simulates.
+#[derive(Clone, Copy)]
+pub enum SweepImage<'a> {
+    /// The original program.
+    Baseline,
+    /// The program rewritten in `style` with the mini-graphs `selector`
+    /// picks under `policy`.
+    MiniGraph {
+        /// The selection algorithm.
+        selector: &'a dyn Selector,
+        /// The selection policy.
+        policy: &'a Policy,
+        /// The rewrite style.
+        style: RewriteStyle,
+    },
+}
+
+/// The results of [`Prep::run_shared`]: one sweep per distinct image,
+/// addressed by request.
+pub struct SharedSweeps {
+    /// Per distinct image, in first-request order: the sweep over the
+    /// union of its requests' configs, or the error the image raised.
+    images: Vec<Result<Vec<SweptCell>, HarnessError>>,
+    /// Per request: its image's index and its configs' range in that
+    /// image's sweep.
+    cells: Vec<(usize, Range<usize>)>,
+}
+
+impl SharedSweeps {
+    /// Request `i`'s results in config order, or the error of the image
+    /// it shares.
+    pub fn get(&self, i: usize) -> Result<&[SweptCell], &HarnessError> {
+        let (at, range) = &self.cells[i];
+        self.images[*at].as_ref().map(|cells| &cells[range.clone()])
+    }
+
+    /// Every request's results, in request order.
     ///
     /// # Errors
     ///
-    /// As [`Prep::try_image_with`].
-    pub fn try_run_selector_sweep(
-        &self,
-        selector: &dyn Selector,
-        policy: &Policy,
-        style: RewriteStyle,
-        cfgs: &[SimConfig],
-    ) -> Result<Vec<SimStats>, HarnessError> {
-        let img = self.try_image_with(selector, policy, style)?;
-        Ok(crate::fused::run_fused(
-            &img.program,
-            &img.trace,
-            &img.catalog,
-            &img.predecode(),
-            cfgs,
-        ))
+    /// The first failing request's error. That request is the first of
+    /// its image, so this is also the first failing image.
+    pub fn into_results(self) -> Result<Vec<Vec<SweptCell>>, HarnessError> {
+        let images = self.images.into_iter().collect::<Result<Vec<_>, _>>()?;
+        Ok(self.cells.into_iter().map(|(at, range)| images[at][range].to_vec()).collect())
     }
 }
 

@@ -156,7 +156,7 @@ impl fmt::Display for MgTemplate {
 /// The set of mini-graph templates a program image refers to, indexed by
 /// MGID. This is the architectural content of the MGT; the timing-level
 /// MGHT/MGST organization is built on top of it by `mg-core`.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HandleCatalog {
     templates: Vec<MgTemplate>,
 }
