@@ -435,6 +435,9 @@ struct Measurement {
     /// Pure selector wall-clock (the per-policy `select_<family>` rows
     /// only; see [`perf_selection_policies`]).
     selection_ms: Option<f64>,
+    /// Heap bytes of the traces the row holds (the artifact-sweep rows
+    /// only; see [`perf_artifact_sweep`]). Deterministic.
+    trace_bytes: Option<usize>,
 }
 
 impl Measurement {
@@ -470,6 +473,9 @@ impl Measurement {
         let _ = write!(row, ", \"mops_per_s\": {:.2}", rate(self.sim_ops));
         if let Some(x) = self.selection_ms {
             let _ = write!(row, ", \"selection_time_ms\": {x:.2}");
+        }
+        if let Some(x) = self.trace_bytes {
+            let _ = write!(row, ", \"trace_bytes\": {x}");
         }
         row.push('}');
         row
@@ -511,7 +517,16 @@ fn perf_sim_experiment(
     let (sim_cycles, sim_ops) = simulated.fold((0, 0), |(c, o), s| (c + s.cycles, o + s.ops));
     let simulations = matrix.simulations();
     eprintln!("{name:14} prep {prep_ms:8.1} ms  run {run_ms:8.1} ms  {sim_cycles:>10} cycles");
-    Measurement { name, prep_ms, run_ms, simulations, sim_cycles, sim_ops, selection_ms: None }
+    Measurement {
+        name,
+        prep_ms,
+        run_ms,
+        simulations,
+        sim_cycles,
+        sim_ops,
+        selection_ms: None,
+        trace_bytes: None,
+    }
 }
 
 /// A synthetic selection workload far past the real candidate pools: many
@@ -563,6 +578,7 @@ fn perf_select_stress(quick: bool) -> Measurement {
         sim_cycles: 0,
         sim_ops: sel.chosen.len() as u64,
         selection_ms: Some(run_ms),
+        trace_bytes: None,
     }
 }
 
@@ -601,6 +617,7 @@ fn perf_selection_policies(args: &RunArgs, quick: bool) -> Vec<Measurement> {
                 sim_cycles: 0,
                 sim_ops: chosen,
                 selection_ms: Some(run_ms),
+                trace_bytes: None,
             }
         })
         .collect()
@@ -622,6 +639,7 @@ fn perf_fig5_experiment(args: &RunArgs, quick: bool) -> Measurement {
         sim_cycles: 0,
         sim_ops: selected,
         selection_ms: None,
+        trace_bytes: None,
     }
 }
 
@@ -629,7 +647,8 @@ fn perf_fig5_experiment(args: &RunArgs, quick: bool) -> Measurement {
 /// selection, plus each workload's baseline trace and integer-memory
 /// image. Run twice — against an empty cache, then the warm one — this
 /// measures exactly the recomputation the cache layer saves (simulation
-/// excluded by design: it is never cached).
+/// excluded by design: it is never cached). `trace_bytes` sums
+/// [`mg_profile::Trace::heap_bytes`] over the traces the sweep holds.
 fn perf_artifact_sweep(
     name: &'static str,
     args: &RunArgs,
@@ -645,18 +664,16 @@ fn perf_artifact_sweep(
     let prep_ms = t.elapsed().as_secs_f64() * 1e3;
     let t = Instant::now();
     let selected = fig5_selection_sweep(&engine);
-    let artifact_ops: u64 = engine
+    let (artifact_ops, trace_bytes) = engine
         .map(|p| {
-            let base = p.try_base_trace().expect("registry workloads trace").len() as u64;
+            let base = p.try_base_trace().expect("registry workloads trace");
             let img = p
                 .try_image(&Policy::integer_memory(), RewriteStyle::NopPadded)
-                .expect("registry workloads rewrite")
-                .trace
-                .len() as u64;
-            base + img
+                .expect("registry workloads rewrite");
+            ((base.len() + img.trace.len()) as u64, base.heap_bytes() + img.trace.heap_bytes())
         })
         .iter()
-        .sum();
+        .fold((0, 0), |(o, b), &(wo, wb)| (o + wo, b + wb));
     let run_ms = t.elapsed().as_secs_f64() * 1e3;
     eprintln!("{name} prep {prep_ms:8.1} ms  run {run_ms:8.1} ms  {selected} instances chosen");
     Measurement {
@@ -667,6 +684,7 @@ fn perf_artifact_sweep(
         sim_cycles: 0,
         sim_ops: selected + artifact_ops,
         selection_ms: None,
+        trace_bytes: Some(trace_bytes),
     }
 }
 
@@ -805,7 +823,16 @@ pub fn perf(args: &RunArgs) -> Report {
     let mut r = Report::new("perf");
     let mut t = TableBlock::new(
         "perf.experiments",
-        &["name", "wall_ms", "prep_ms", "run_ms", "simulations", "sim_cycles", "sim_ops"],
+        &[
+            "name",
+            "wall_ms",
+            "prep_ms",
+            "run_ms",
+            "simulations",
+            "sim_cycles",
+            "sim_ops",
+            "trace_bytes",
+        ],
     )
     .hidden();
     for m in &measurements {
@@ -817,6 +844,7 @@ pub fn perf(args: &RunArgs) -> Report {
             m.simulations.to_string(),
             m.sim_cycles.to_string(),
             m.sim_ops.to_string(),
+            m.trace_bytes.map_or_else(String::new, |b| b.to_string()),
         ]);
     }
     r.table(t);

@@ -161,6 +161,7 @@ pub fn bind_registry_server_with(
             ("preps_prepared".to_string(), pool.prepared()),
             ("preps_reused".to_string(), pool.reused()),
             ("preps_retried".to_string(), pool.retried()),
+            ("preps_trace_bytes".to_string(), pool.trace_bytes() as u64),
         ]
     }));
     if unix {

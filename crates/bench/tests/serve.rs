@@ -117,6 +117,8 @@ fn served_results_are_byte_identical_and_share_one_prep() {
     assert_eq!(stat(&pairs, "preps_prepared"), 6, "one prep per fig7 focus workload");
     assert_eq!(stat(&pairs, "preps_reused"), 0);
     assert_eq!(stat(&pairs, "served"), 2);
+    let trace_bytes = stat(&pairs, "preps_trace_bytes");
+    assert!(trace_bytes > 0, "the pooled preps hold their traces");
 
     // --- a later identical request: warm pool, identical bytes ---
     let warm = client.request(&run, |_| {}).expect("request");
@@ -129,6 +131,11 @@ fn served_results_are_byte_identical_and_share_one_prep() {
     };
     assert_eq!(stat(&pairs, "preps_prepared"), 6, "no re-preparation for the warm rerun");
     assert_eq!(stat(&pairs, "preps_reused"), 6, "every workload came from the warm pool");
+    assert_eq!(
+        stat(&pairs, "preps_trace_bytes"),
+        trace_bytes,
+        "the warm rerun records and memoizes no further trace"
+    );
 
     // --- byte-identity against the one-shot `mg run` path ---
     assert_eq!(payload_a, direct_mg_run_stdout(), "served JSON == `mg run --format json`");

@@ -236,6 +236,20 @@ impl PrepPool {
         self.retried.load(Ordering::Relaxed)
     }
 
+    /// Heap bytes of the traces the pooled preps hold: the sum of
+    /// [`Prep::trace_bytes`] over every warm prep. Exported as
+    /// `preps_trace_bytes` by `mg serve --stats`.
+    pub fn trace_bytes(&self) -> usize {
+        let slots: Vec<Arc<Slot>> = self
+            .slots
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .values()
+            .cloned()
+            .collect();
+        slots.iter().filter_map(|s| s.once.get()).map(|p| p.trace_bytes()).sum()
+    }
+
     /// Installs (or clears) a deterministic fault plan: subsequent
     /// preparations consult its `harness.prep.panic` point and panic —
     /// inside the pool's containment — when it fires. Used by `mg chaos`

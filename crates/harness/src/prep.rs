@@ -422,6 +422,15 @@ impl Prep {
         Ok(Arc::clone(self.base_trace.get_or_init(|| trace)))
     }
 
+    /// Heap bytes of the traces this prep holds
+    /// ([`Trace::heap_bytes`]): the base trace once recorded or loaded,
+    /// and the trace of each memoized image.
+    pub fn trace_bytes(&self) -> usize {
+        let base = self.base_trace.get().map_or(0, |t| t.heap_bytes());
+        let images = self.images.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        base + images.map.values().map(|img| img.trace.heap_bytes()).sum::<usize>()
+    }
+
     /// The rewritten image for `(policy, style)` with its trace, memoized
     /// in a bounded FIFO cache ([`IMAGE_CACHE_CAP`]) (and, with a
     /// [`PrepCache`] attached, persisted across processes — a disk hit

@@ -16,8 +16,7 @@ use std::sync::Arc;
 fn round_trip(t: &Trace, what: &str) {
     let bytes = wire::to_bytes(t);
     let back: Trace = wire::from_bytes(&bytes).unwrap_or_else(|e| panic!("{what}: {e}"));
-    assert_eq!(back.ops, t.ops, "{what}: ops");
-    assert_eq!(back.insts, t.insts, "{what}: insts");
+    assert_eq!(&back, t, "{what}: ops and insts");
     assert_eq!(wire::to_bytes(&back), bytes, "{what}: re-encodes identically");
 }
 

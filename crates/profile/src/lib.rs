@@ -55,4 +55,4 @@ pub use dominators::Dominators;
 pub use func_sim::{run_program, FuncResult};
 pub use loops::LoopNest;
 pub use profile::{profile_program, BlockProfile};
-pub use trace::{record_trace, DynOp, Trace};
+pub use trace::{record_trace, DynOp, OpFlags, Trace};

@@ -16,6 +16,7 @@ use super::decode::{Ctrl, NO_REG};
 use super::entries::{bit_clear, bit_get, overlap, Kind};
 use super::Simulator;
 use crate::rename::RenamedDest;
+use mg_isa::exec::MemRef;
 use mg_isa::reg;
 
 impl Simulator<'_> {
@@ -46,8 +47,7 @@ impl Simulator<'_> {
             let sidx = self.rob.sidx[slot] as usize;
             let trace_idx = self.rob.trace_idx[slot] as usize;
             // Control resolution: train predictor, redirect fetch.
-            let op = self.trace.op(trace_idx);
-            if let Some(br) = op.br {
+            if let Some(br) = self.trace.br(trace_idx) {
                 let pc = self.prog.byte_addr(sidx);
                 // Handles train the direction predictor through their own
                 // PC, like the conditional branch they embed (§4.1).
@@ -76,16 +76,15 @@ impl Simulator<'_> {
     }
 
     /// Execution latencies `(output, total)` for the entry at ROB slot
-    /// `slot`, accounting for cache behaviour of its memory reference and
-    /// mini-graph interior-load replays.
-    pub(crate) fn latencies(&mut self, slot: usize) -> (u32, u32) {
-        let op = self.trace.op(self.rob.trace_idx[slot] as usize);
+    /// `slot`, accounting for cache behaviour of its memory reference
+    /// `mem` and mini-graph interior-load replays.
+    pub(crate) fn latencies(&mut self, slot: usize, mem: Option<MemRef>) -> (u32, u32) {
         match self.rob.kind[slot] {
             Kind::Alu | Kind::Control => (1, 1),
             Kind::Mul => (3, 3),
             Kind::Direct => (1, 1),
             Kind::Load => {
-                let mem = op.mem.expect("load has a memory reference");
+                let mem = mem.expect("load has a memory reference");
                 let res = self.mem.data(mem.addr, self.now);
                 let lat = 1 + res.latency;
                 (lat, lat)
@@ -95,7 +94,7 @@ impl Simulator<'_> {
                 let mgid = self.pd.mgid[self.rob.sidx[slot] as usize] as usize;
                 let mut out = self.mg.out_lat[mgid];
                 let mut total = self.mg.total_lat[mgid];
-                if let Some(mem) = op.mem {
+                if let Some(mem) = mem {
                     if !mem.store {
                         let slot_cycle = self.mg.load_slot_cycle[mgid];
                         debug_assert!(
@@ -131,11 +130,11 @@ impl Simulator<'_> {
         }
     }
 
-    /// Records executed memory addresses and performs violation detection.
-    pub(crate) fn issue_memory_effects(&mut self, slot: usize) {
+    /// Records the executed memory address `mem` of the entry at ROB slot
+    /// `slot` and performs violation detection.
+    pub(crate) fn issue_memory_effects(&mut self, slot: usize, mem: Option<MemRef>) {
+        let Some(mem) = mem else { return };
         let seq = self.rob.seq[slot];
-        let trace_idx = self.rob.trace_idx[slot] as usize;
-        let Some(mem) = self.trace.op(trace_idx).mem else { return };
         if mem.store {
             if let Some(s) = self.sq.find_seq(seq) {
                 self.sq.addr[s] = mem.addr;

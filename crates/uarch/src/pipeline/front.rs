@@ -11,6 +11,7 @@
 use super::decode::{Ctrl, NO_REG};
 use super::entries::{Kind, RobPush, NO_PREG, NO_WAIT};
 use super::{Simulator, MAX_FETCH_LINES};
+use mg_isa::exec::BrRec;
 use mg_isa::reg;
 
 impl Simulator<'_> {
@@ -29,11 +30,11 @@ impl Simulator<'_> {
             let mispredicted = self.frontq.mispredicted[f];
             let pred_taken = self.frontq.pred_taken[f];
             let pred_token = self.frontq.pred_token[f];
-            let op = *self.trace.op(trace_idx);
-            let sidx = op.sidx as usize;
+            let sidx = self.trace.sidx(trace_idx) as usize;
+            let flags = self.trace.flags(trace_idx);
             let kind = self.pd.kind[sidx];
-            let is_load = op.mem.map(|m| !m.store).unwrap_or(false);
-            let is_store = op.mem.map(|m| m.store).unwrap_or(false);
+            let is_load = flags.load();
+            let is_store = flags.store();
 
             // Structural resources.
             if self.rob.len() >= self.cfg.rob_size {
@@ -96,13 +97,13 @@ impl Simulator<'_> {
             if needs_iq {
                 self.iq_used += 1;
             }
-            if op.br.is_some() {
+            if flags.br() {
                 self.stats.branches += 1;
             }
             self.rob.push(RobPush {
                 seq,
                 trace_idx: trace_idx as u32,
-                sidx: op.sidx,
+                sidx: sidx as u32,
                 kind,
                 represents: self.pd.represents[sidx],
                 dest_arch,
@@ -144,8 +145,8 @@ impl Simulator<'_> {
             // Entering the loop body always touches machine state: at
             // minimum an I$ access (which counts, and may start a miss).
             self.progress = true;
-            let op = *self.trace.op(self.fetch_ptr);
-            let addr = self.prog.byte_addr(op.sidx as usize);
+            let sidx = self.trace.sidx(self.fetch_ptr) as usize;
+            let addr = self.prog.byte_addr(sidx);
             let line = addr / line_bytes;
             if last_line != Some(line) {
                 if lines_touched >= MAX_FETCH_LINES {
@@ -161,8 +162,8 @@ impl Simulator<'_> {
                 }
             }
 
-            let (mispredicted, pred_taken, pred_token) =
-                self.predict(op.sidx as usize, addr, &op);
+            let br = self.trace.br(self.fetch_ptr);
+            let (mispredicted, pred_taken, pred_token) = self.predict(sidx, addr, br);
             self.frontq.push_back(
                 self.fetch_ptr as u32,
                 self.now + self.cfg.frontend_depth as u64,
@@ -170,7 +171,7 @@ impl Simulator<'_> {
                 pred_taken,
                 pred_token,
             );
-            let taken = op.br.map(|b| b.taken).unwrap_or(false);
+            let taken = br.is_some_and(|b| b.taken);
             self.fetch_ptr += 1;
             fetched += 1;
             if mispredicted {
@@ -189,9 +190,9 @@ impl Simulator<'_> {
         &mut self,
         sidx: usize,
         pc: u64,
-        op: &mg_profile::DynOp,
+        br: Option<BrRec>,
     ) -> (bool, bool, u32) {
-        let Some(br) = op.br else { return (false, false, 0) };
+        let Some(br) = br else { return (false, false, 0) };
         let actual_target = self.prog.byte_addr(br.target);
         match self.pd.ctrl[sidx] {
             // The handle PC stands in for the embedded branch's PC for

@@ -270,7 +270,8 @@ impl Simulator<'_> {
         }
         // Committed to issuing: perform the (single) cache access and
         // compute actual latencies.
-        let (out_lat, total_lat) = self.latencies(slot);
+        let mem = self.trace.mem(self.rob.trace_idx[slot] as usize);
+        let (out_lat, total_lat) = self.latencies(slot, mem);
 
         // Issue!
         self.progress = true;
@@ -310,7 +311,7 @@ impl Simulator<'_> {
             );
         } else {
             debug_assert!(
-                self.trace.op(self.rob.trace_idx[slot] as usize).br.is_none(),
+                !self.trace.flags(self.rob.trace_idx[slot] as usize).br(),
                 "a branch-recording op must have a completion event"
             );
         }
@@ -318,7 +319,7 @@ impl Simulator<'_> {
         // Memory side effects (agen/dcache) and violation checks (may
         // squash younger entries; this slot is always older than any
         // victim, so it survives).
-        self.issue_memory_effects(slot);
+        self.issue_memory_effects(slot, mem);
         1
     }
 

@@ -153,9 +153,9 @@ impl<'a> Simulator<'a> {
         let renamer = Renamer::new(cfg.phys_regs);
         let preg_ready = vec![0u64; cfg.phys_regs];
         let limit = if cfg.max_ops == 0 {
-            trace.ops.len()
+            trace.len()
         } else {
-            (cfg.max_ops as usize).min(trace.ops.len())
+            (cfg.max_ops as usize).min(trace.len())
         };
         // Guard against pathological configs: bound *worked* cycles (the
         // ones actually simulated). Idle-skipped spans are excluded, so a

@@ -70,7 +70,7 @@ fn fold_counts(counts: &[u64]) -> u64 {
 
 fn fold_trace(t: &Trace) -> u64 {
     let mut h = mix(SEED, t.len() as u64);
-    for op in t.ops.iter() {
+    for op in t.iter() {
         h = mix(h, op.sidx as u64);
         h = match op.mem {
             None => mix(h, 0),

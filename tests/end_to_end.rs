@@ -57,7 +57,7 @@ fn amplification_accounting_identity() {
     let mg = prep.try_image(&policy, RewriteStyle::NopPadded).unwrap();
 
     assert_eq!(base.insts, mg.trace.insts, "same original instruction stream");
-    let fetched_saved = base.ops.len() as u64 - mg.trace.ops.len() as u64;
+    let fetched_saved = base.len() as u64 - mg.trace.len() as u64;
     assert_eq!(
         fetched_saved,
         sel.saved_slots(),
