@@ -438,6 +438,9 @@ struct Measurement {
     /// Heap bytes of the traces the row holds (the artifact-sweep rows
     /// only; see [`perf_artifact_sweep`]). Deterministic.
     trace_bytes: Option<usize>,
+    /// Bytes of the files in the artifact-sweep rows' cache root. The
+    /// same files every run, so deterministic too.
+    cache_bytes: Option<u64>,
 }
 
 impl Measurement {
@@ -476,6 +479,9 @@ impl Measurement {
         }
         if let Some(x) = self.trace_bytes {
             let _ = write!(row, ", \"trace_bytes\": {x}");
+        }
+        if let Some(x) = self.cache_bytes {
+            let _ = write!(row, ", \"cache_bytes\": {x}");
         }
         row.push('}');
         row
@@ -526,6 +532,7 @@ fn perf_sim_experiment(
         sim_ops,
         selection_ms: None,
         trace_bytes: None,
+        cache_bytes: None,
     }
 }
 
@@ -579,6 +586,7 @@ fn perf_select_stress(quick: bool) -> Measurement {
         sim_ops: sel.chosen.len() as u64,
         selection_ms: Some(run_ms),
         trace_bytes: None,
+        cache_bytes: None,
     }
 }
 
@@ -618,6 +626,7 @@ fn perf_selection_policies(args: &RunArgs, quick: bool) -> Vec<Measurement> {
                 sim_ops: chosen,
                 selection_ms: Some(run_ms),
                 trace_bytes: None,
+                cache_bytes: None,
             }
         })
         .collect()
@@ -640,6 +649,7 @@ fn perf_fig5_experiment(args: &RunArgs, quick: bool) -> Measurement {
         sim_ops: selected,
         selection_ms: None,
         trace_bytes: None,
+        cache_bytes: None,
     }
 }
 
@@ -648,7 +658,8 @@ fn perf_fig5_experiment(args: &RunArgs, quick: bool) -> Measurement {
 /// image. Run twice — against an empty cache, then the warm one — this
 /// measures exactly the recomputation the cache layer saves (simulation
 /// excluded by design: it is never cached). `trace_bytes` sums
-/// [`mg_profile::Trace::heap_bytes`] over the traces the sweep holds.
+/// [`mg_profile::Trace::heap_bytes`] over the traces the sweep holds;
+/// `cache_bytes` is what the cache root holds afterwards.
 fn perf_artifact_sweep(
     name: &'static str,
     args: &RunArgs,
@@ -675,6 +686,7 @@ fn perf_artifact_sweep(
         .iter()
         .fold((0, 0), |(o, b), &(wo, wb)| (o + wo, b + wb));
     let run_ms = t.elapsed().as_secs_f64() * 1e3;
+    let cache_bytes = PrepCache::new(dir).stats().bytes;
     eprintln!("{name} prep {prep_ms:8.1} ms  run {run_ms:8.1} ms  {selected} instances chosen");
     Measurement {
         name,
@@ -685,6 +697,7 @@ fn perf_artifact_sweep(
         sim_ops: selected + artifact_ops,
         selection_ms: None,
         trace_bytes: Some(trace_bytes),
+        cache_bytes: Some(cache_bytes),
     }
 }
 
@@ -832,6 +845,7 @@ pub fn perf(args: &RunArgs) -> Report {
             "sim_cycles",
             "sim_ops",
             "trace_bytes",
+            "cache_bytes",
         ],
     )
     .hidden();
@@ -845,6 +859,7 @@ pub fn perf(args: &RunArgs) -> Report {
             m.sim_cycles.to_string(),
             m.sim_ops.to_string(),
             m.trace_bytes.map_or_else(String::new, |b| b.to_string()),
+            m.cache_bytes.map_or_else(String::new, |b| b.to_string()),
         ]);
     }
     r.table(t);

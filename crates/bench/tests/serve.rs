@@ -164,7 +164,7 @@ fn served_results_are_byte_identical_and_share_one_prep() {
 fn protocol_version_is_pinned_to_the_cache_schema_version() {
     assert_eq!(
         (mg_serve::PROTOCOL_VERSION, mg_harness::CACHE_SCHEMA_VERSION),
-        (4, 2),
+        (5, 3),
         "bumping either version requires updating docs/PROTOCOL.md and this pairing"
     );
 }

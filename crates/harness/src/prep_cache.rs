@@ -53,15 +53,15 @@
 //! byte reaches the payload decoder: a flipped bit that would still
 //! decode structurally (the codec cannot range-check cross-references)
 //! is a miss, never a wrong prep. Traces — the bulk of every trace and
-//! image file — use `mg-profile`'s columnar codec (an `sidx` column, a
-//! flag column, mem and branch-target side columns), so a load is a
-//! checksum pass plus bulk column walks. Writes go to a
-//! unique temp file renamed into place, so concurrent writers (the
-//! engine's worker threads, or parallel CI jobs sharing a target dir)
-//! race benignly: both compute the identical artifact, last rename wins,
-//! and readers only ever see complete files. Any read error — truncation,
-//! foreign bytes, corruption, stale schema — is a miss; the artifact is
-//! recomputed and the file overwritten.
+//! image file — use `mg-profile`'s columnar codec (per-64-op jump, mem,
+//! store, br and taken bitsets, then the jump, mem and branch-target
+//! side columns), so a load is a checksum pass plus bulk column walks.
+//! Writes go to a unique temp file renamed into place, so concurrent
+//! writers (the engine's worker threads, or parallel CI jobs sharing a
+//! target dir) race benignly: both compute the identical artifact, last
+//! rename wins, and readers only ever see complete files. Any read error
+//! — truncation, foreign bytes, corruption, stale schema — is a miss;
+//! the artifact is recomputed and the file overwritten.
 
 use crate::prep::MgImage;
 use mg_core::{Policy, RewriteStyle, Selection};
@@ -74,8 +74,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// behavioural change to selection, rewriting, or trace recording.
 ///
 /// History: 1 initial; 2 columnar trace codec, word-wide checksum
-/// trailer, and word-wide memory-image content hash.
-pub const CACHE_SCHEMA_VERSION: u32 = 2;
+/// trailer, and word-wide memory-image content hash; 3 trace static
+/// indices stored only at jumps, and flag bitsets in place of the flag
+/// byte.
+pub const CACHE_SCHEMA_VERSION: u32 = 3;
 
 /// Magic bytes opening every cache file.
 const MAGIC: &[u8; 4] = b"MGC\x01";

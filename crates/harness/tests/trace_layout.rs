@@ -2,10 +2,12 @@
 //! that keeps one `DynOp` per op (`mg_isa::exec::run` with a sink pushing
 //! into a `Vec`) is the oracle. Every registry workload's base trace and
 //! its int/intmem image traces (nop-padded and compressed), plus
-//! hand-built traces around the 64-op rank-block edges, must agree with it
-//! through `op(i)`, `iter()`, each hot-path accessor, a rebuild from the
-//! reference ops, and the wire codec. A footprint tripwire pins
-//! `Trace::heap_bytes` to the column formula on every registry quick trace.
+//! hand-built traces around the 64-op rank-block edges and the jump
+//! column's edges (long runs, jumps at block edges, every op a jump,
+//! self-loops, a run ending at `u32::MAX`), must agree with it through
+//! `op(i)`, `iter()`, each hot-path accessor, a rebuild from the reference
+//! ops, and the wire codec. A footprint tripwire pins `Trace::heap_bytes`
+//! to the column formula on every registry quick trace.
 
 use mg_core::{Policy, RewriteStyle};
 use mg_harness::{Prep, QUICK_MAX_OPS};
@@ -163,6 +165,58 @@ fn hand_built_traces_around_block_edges_match() {
     check_with_wire(&t, &ops, 0, "dense and empty blocks");
 }
 
+/// `hand_built(sidx.len())` with the given static indices, so each
+/// case also exercises every flag combination.
+fn with_sidx(sidx: &[u32]) -> Vec<DynOp> {
+    let mut ops = hand_built(sidx.len());
+    for (op, &s) in ops.iter_mut().zip(sidx) {
+        op.sidx = s;
+    }
+    ops
+}
+
+/// `check_with_wire`, plus the heap formula, which counts the jumps the
+/// trace must have stored.
+fn check_jumps(sidx: &[u32], want_jumps: usize, what: &str) {
+    let ops = with_sidx(sidx);
+    let t: Trace = ops.iter().copied().collect();
+    check_with_wire(&t, &ops, 0, what);
+    assert_eq!(jumps(&t), want_jumps, "{what}: jumps");
+    assert_eq!(t.heap_bytes(), footprint(&t), "{what}: heap_bytes formula");
+}
+
+#[test]
+fn the_jump_column_holds_exactly_the_jumps() {
+    // One run across four blocks: only op 0 stores an index.
+    let run: Vec<u32> = (1000..1000 + 200).collect();
+    check_jumps(&run, 1, "one 200-op run");
+
+    // Jumps on both sides of each block edge, and at a block's last op
+    // after a jump on the op before it.
+    let edges = [62, 63, 64, 65, 127, 128];
+    let mut sidx = Vec::new();
+    for i in 0..200u32 {
+        let jump = i == 0 || edges.contains(&i);
+        sidx.push(if jump { 10_000 * (i + 1) } else { sidx[i as usize - 1] + 1 });
+    }
+    check_jumps(&sidx, 1 + edges.len(), "jumps at 62, 63, 64, 65, 127, 128");
+
+    // Every op a jump.
+    let every: Vec<u32> = (0..150).map(|i| (i * 7) % 101 + 3 * (i % 2)).collect();
+    let every_jumps =
+        1 + every.windows(2).filter(|w| w[0].checked_add(1) != Some(w[1])).count();
+    assert_eq!(every_jumps, every.len(), "the pattern jumps on every op");
+    check_jumps(&every, every.len(), "every op a jump");
+
+    // A self-loop: the same index over and over is a jump every time.
+    check_jumps(&[42; 130], 130, "self-loop");
+
+    // A run that ends exactly at u32::MAX, then index 0: the successor
+    // of u32::MAX does not wrap into a run.
+    let top: Vec<u32> = (u32::MAX - 99..=u32::MAX).chain(0..40).collect();
+    check_jumps(&top, 2, "run ending at u32::MAX, then 0");
+}
+
 #[test]
 fn branch_targets_are_exact_in_memory_and_narrowed_only_on_the_wire() {
     let widest = u32::MAX as usize - 1;
@@ -180,21 +234,35 @@ fn branch_targets_are_exact_in_memory_and_narrowed_only_on_the_wire() {
     );
 }
 
-/// The exact heap cost of a trace's columns and rank directory.
+/// Ops whose static index is not the previous op's plus one (op 0
+/// always): the only ops that store an index.
+fn jumps(t: &Trace) -> usize {
+    let mut next = None;
+    t.iter()
+        .filter(|o| {
+            let jump = next != Some(o.sidx);
+            next = o.sidx.checked_add(1);
+            jump
+        })
+        .count()
+}
+
+/// The exact heap cost of a trace's columns and rank directory: 9 bytes
+/// per memory op, 4 per branch, 4 per jump and a 72-byte directory entry
+/// per 64 ops.
 fn footprint(t: &Trace) -> usize {
-    let n = t.len();
     let mems = t.iter().filter(|o| o.mem.is_some()).count();
     let brs = t.iter().filter(|o| o.br.is_some()).count();
-    let blocks = n.div_ceil(64);
-    (4 + 1) * n + (8 + 1) * mems + 4 * brs + 4 * 8 * blocks
+    let blocks = t.len().div_ceil(64);
+    (8 + 1) * mems + 4 * brs + 4 * jumps(t) + 72 * blocks
 }
 
 /// Every registry workload's quick traces (reference input,
 /// `QUICK_MAX_OPS`): the base trace and the four int/intmem images. Each
 /// must cost exactly the column formula, and together they must average
-/// at most 10 B/op. One dense image may cost more on its own (an intmem
-/// image whose handles are mostly loads and branches reaches 12.5 B/op);
-/// a per-op struct (40 B/op) fails both checks.
+/// at most 6.5 B/op. One dense image may cost more on its own (an intmem
+/// image whose handles are mostly loads and branches reaches 11.5 B/op);
+/// a per-op `sidx` column (8.95 B/op over this set) fails the average.
 #[test]
 fn heap_bytes_is_the_column_formula_on_every_registry_quick_trace() {
     let (mut ops, mut bytes) = (0, 0);
@@ -216,5 +284,5 @@ fn heap_bytes_is_the_column_formula_on_every_registry_quick_trace() {
         }
     }
     let per_op = bytes as f64 / ops as f64;
-    assert!(per_op <= 10.0, "registry quick traces cost {per_op:.3} B/op, over 10");
+    assert!(per_op <= 6.5, "registry quick traces cost {per_op:.3} B/op, over 6.5");
 }

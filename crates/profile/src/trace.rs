@@ -6,11 +6,15 @@
 //! and memory-system resources. This is the standard substitution for the
 //! paper's execution-driven SimpleScalar setup (see `DESIGN.md` §2).
 //!
-//! A [`Trace`] holds one layout on disk and in memory: a `sidx` column, a
-//! flag byte per op, side columns for the memory ops' addresses and widths
-//! and the branches' targets, plus a rank directory that finds an op's
-//! entry in a side column in O(1). The persistent cache writes the same
-//! columns ([`Wire`]), so loading a cached trace is a bulk copy.
+//! A [`Trace`] holds one layout on disk and in memory. The static index
+//! is stored only where the committed path *jumps* (op 0, and any op
+//! whose index is not its predecessor's plus one); every other op's index
+//! follows from the last jump. Side columns hold the memory ops' addresses
+//! and widths and the branches' targets. A rank directory keeps, per 64
+//! ops, bitsets of which ops jump, touch memory, store, branch and are
+//! taken, plus the counts that find an op's entry in each side column in
+//! O(1). The persistent cache writes the same columns ([`Wire`]), so
+//! loading a cached trace is a bulk copy.
 
 use mg_isa::exec::{run, BrRec, CpuState, ExecError, MemRef, StepSink};
 use mg_isa::wire::{Reader, Wire, WireError, Writer};
@@ -30,14 +34,13 @@ pub struct DynOp {
     pub br: Option<BrRec>,
 }
 
-/// Flag-column bits, one byte per op.
+/// [`OpFlags`] bits.
 const F_MEM: u8 = 1 << 0;
 const F_STORE: u8 = 1 << 1;
 const F_BR: u8 = 1 << 2;
-const F_TAKEN: u8 = 1 << 3;
 
-/// One op's flag byte: which side columns it has an entry in, and the
-/// store and taken bits of those entries.
+/// One op's flags, read from the rank directory's bitsets: which side
+/// columns it has an entry in, and whether its memory reference stores.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OpFlags(u8);
 
@@ -62,13 +65,20 @@ impl OpFlags {
 }
 
 /// The rank directory's entry for one block of 64 ops: how many memory
-/// and branch ops precede the block, and which of its ops are which.
+/// ops, branches and jumps precede the block, the block's first static
+/// index, and which of its ops are which. A store bit is only ever set
+/// with its mem bit, and a taken bit with its br bit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Rank {
     mems: u64,
     brs: u64,
+    jumps: u64,
     mem_bits: u64,
+    store_bits: u64,
     br_bits: u64,
+    taken_bits: u64,
+    jump_bits: u64,
+    base: u32,
 }
 
 /// The branch-target column is `u32` (instruction indices, like `sidx`);
@@ -88,23 +98,39 @@ fn below(i: usize) -> u64 {
     (1u64 << (i % BLOCK)) - 1
 }
 
+/// The bits of a block's bitset that sit at or before op `i`.
+#[inline]
+fn upto(i: usize) -> u64 {
+    u64::MAX >> (BLOCK - 1 - i % BLOCK)
+}
+
+/// Bit `i % 64` of `bits`.
+#[inline]
+fn bit(bits: u64, i: usize) -> bool {
+    bits >> (i % BLOCK) & 1 != 0
+}
+
 /// A committed-path dynamic trace, stored as columns.
 ///
-/// Per op: a `u32` static index and a flag byte. Per memory op: a `u64`
+/// Per jump (op 0, and each op whose static index is not its
+/// predecessor's plus one): a `u32` static index. Per memory op: a `u64`
 /// address and a `u8` width. Per branch: a `u32` target, where a
 /// reserved value defers to an exact side table for the (in practice
-/// never seen) targets that do not fit. Per 64 ops: a rank-directory
-/// entry, so the accessors reach any op's side-column entries in O(1).
-/// Each column is a boxed slice, so a trace allocates exactly what it
-/// holds ([`Trace::heap_bytes`]).
+/// never seen) targets that do not fit. Per 64 ops: a 72-byte
+/// rank-directory entry with the jump, mem, store, br and taken bitsets,
+/// the jump, memory-op and branch counts before the block, and the
+/// block's first static index, so the accessors reach any op's fields in
+/// O(1). Each column is a boxed slice, so a trace allocates exactly what
+/// it holds ([`Trace::heap_bytes`]).
 ///
 /// The simulator reads the columns it needs through [`Trace::sidx`],
-/// [`Trace::flags`], [`Trace::mem`] and [`Trace::br`]; [`Trace::op`] and
-/// [`Trace::iter`] rebuild whole [`DynOp`]s for everyone else.
+/// [`Trace::flags`], [`Trace::mem`] and [`Trace::br`]; [`Trace::op`]
+/// rebuilds a whole [`DynOp`] for everyone else, and [`Trace::iter`]
+/// decodes them in order with a cursor.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Trace {
-    sidx: Box<[u32]>,
-    flags: Box<[u8]>,
+    len: usize,
+    jumps: Box<[u32]>,
     mem_addr: Box<[u64]>,
     mem_width: Box<[u8]>,
     br_target: Box<[u32]>,
@@ -121,53 +147,70 @@ impl Trace {
     /// Number of fetched (dynamic) operations.
     #[inline]
     pub fn len(&self) -> usize {
-        self.sidx.len()
+        self.len
     }
 
     /// Whether the trace is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.sidx.is_empty()
+        self.len == 0
     }
 
-    /// The static instruction index of op `i`.
+    /// The static instruction index of op `i`: the last jump at or
+    /// before `i` in its block plus the distance to it, or, with no such
+    /// jump, the block's first index plus `i`'s offset.
     #[inline]
     pub fn sidx(&self, i: usize) -> u32 {
-        self.sidx[i]
+        let r = self.rank(i);
+        let o = i % BLOCK;
+        let jumps = r.jump_bits & upto(i);
+        if jumps == 0 {
+            return r.base + o as u32;
+        }
+        let last = (BLOCK - 1) - jumps.leading_zeros() as usize;
+        let k = r.jumps as usize + jumps.count_ones() as usize - 1;
+        self.jumps[k] + (o - last) as u32
     }
 
-    /// The flag byte of op `i`.
+    /// The flags of op `i`.
     #[inline]
     pub fn flags(&self, i: usize) -> OpFlags {
-        OpFlags(self.flags[i])
+        let r = self.rank(i);
+        let f = |bits: u64, flag: u8| if bit(bits, i) { flag } else { 0 };
+        OpFlags(f(r.mem_bits, F_MEM) | f(r.store_bits, F_STORE) | f(r.br_bits, F_BR))
     }
 
     /// The memory reference of op `i`, if it has one.
     #[inline]
     pub fn mem(&self, i: usize) -> Option<MemRef> {
-        let f = self.flags[i];
-        if f & F_MEM == 0 {
+        let r = self.rank(i);
+        if !bit(r.mem_bits, i) {
             return None;
         }
-        let r = &self.ranks[i / BLOCK];
         let j = r.mems as usize + (r.mem_bits & below(i)).count_ones() as usize;
         Some(MemRef {
             addr: self.mem_addr[j],
             width: self.mem_width[j],
-            store: f & F_STORE != 0,
+            store: bit(r.store_bits, i),
         })
     }
 
     /// The control transfer of op `i`, if it has one.
     #[inline]
     pub fn br(&self, i: usize) -> Option<BrRec> {
-        let f = self.flags[i];
-        if f & F_BR == 0 {
+        let r = self.rank(i);
+        if !bit(r.br_bits, i) {
             return None;
         }
-        let r = &self.ranks[i / BLOCK];
         let j = r.brs as usize + (r.br_bits & below(i)).count_ones() as usize;
-        Some(BrRec { taken: f & F_TAKEN != 0, target: self.target(i, self.br_target[j]) })
+        Some(BrRec { taken: bit(r.taken_bits, i), target: self.target(i, self.br_target[j]) })
+    }
+
+    /// The rank-directory entry of op `i`'s block.
+    #[inline]
+    fn rank(&self, i: usize) -> &Rank {
+        assert!(i < self.len, "op {i} of a {}-op trace", self.len);
+        &self.ranks[i / BLOCK]
     }
 
     /// The exact target of op `i`, whose target column holds `t`.
@@ -183,19 +226,18 @@ impl Trace {
     /// Op `i`, rebuilt from every column.
     #[inline]
     pub fn op(&self, i: usize) -> DynOp {
-        DynOp { sidx: self.sidx[i], mem: self.mem(i), br: self.br(i) }
+        DynOp { sidx: self.sidx(i), mem: self.mem(i), br: self.br(i) }
     }
 
-    /// The ops in commit order.
+    /// The ops in commit order, decoded with a cursor into each column.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = DynOp> + '_ {
-        (0..self.len()).map(|i| self.op(i))
+        Ops { t: self, i: 0, jump: 0, mem: 0, br: 0, sidx: 0 }
     }
 
     /// Bytes the trace holds on the heap: its columns and its rank
     /// directory.
     pub fn heap_bytes(&self) -> usize {
-        size_of_val(&*self.sidx)
-            + size_of_val(&*self.flags)
+        size_of_val(&*self.jumps)
             + size_of_val(&*self.mem_addr)
             + size_of_val(&*self.mem_width)
             + size_of_val(&*self.br_target)
@@ -204,65 +246,128 @@ impl Trace {
     }
 }
 
-/// Builds the rank directory over a flag column.
-fn rank_directory(flags: &[u8]) -> Box<[Rank]> {
-    let (mut mems, mut brs) = (0u64, 0u64);
-    flags
-        .chunks(BLOCK)
-        .map(|block| {
-            let mut r = Rank { mems, brs, mem_bits: 0, br_bits: 0 };
-            for (j, &f) in block.iter().enumerate() {
-                r.mem_bits |= u64::from(f & F_MEM != 0) << j;
-                r.br_bits |= u64::from(f & F_BR != 0) << j;
-            }
-            mems += u64::from(r.mem_bits.count_ones());
-            brs += u64::from(r.br_bits.count_ones());
-            r
-        })
-        .collect()
+/// [`Trace::iter`]'s cursor: the next op, its next entry in each column,
+/// and the previous op's static index.
+struct Ops<'t> {
+    t: &'t Trace,
+    i: usize,
+    jump: usize,
+    mem: usize,
+    br: usize,
+    sidx: u32,
 }
+
+impl Iterator for Ops<'_> {
+    type Item = DynOp;
+
+    #[inline]
+    fn next(&mut self) -> Option<DynOp> {
+        let (t, i) = (self.t, self.i);
+        if i == t.len {
+            return None;
+        }
+        self.i += 1;
+        let r = &t.ranks[i / BLOCK];
+        self.sidx = if bit(r.jump_bits, i) {
+            let s = t.jumps[self.jump];
+            self.jump += 1;
+            s
+        } else {
+            self.sidx + 1
+        };
+        let mem = bit(r.mem_bits, i).then(|| {
+            let j = self.mem;
+            self.mem += 1;
+            MemRef { addr: t.mem_addr[j], width: t.mem_width[j], store: bit(r.store_bits, i) }
+        });
+        let br = bit(r.br_bits, i).then(|| {
+            let j = self.br;
+            self.br += 1;
+            BrRec { taken: bit(r.taken_bits, i), target: t.target(i, t.br_target[j]) }
+        });
+        Some(DynOp { sidx: self.sidx, mem, br })
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.t.len - self.i;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Ops<'_> {}
 
 /// A trace's columns while they grow.
 #[derive(Default)]
 struct Columns {
-    sidx: Vec<u32>,
-    flags: Vec<u8>,
+    len: usize,
+    jumps: Vec<u32>,
     mem_addr: Vec<u64>,
     mem_width: Vec<u8>,
     br_target: Vec<u32>,
     wide_targets: Vec<(usize, usize)>,
+    ranks: Vec<Rank>,
+    /// The static index the next op has without a jump: `None` before
+    /// op 0 and after index `u32::MAX`.
+    next: Option<u32>,
 }
 
 impl Columns {
+    /// Empty columns with room for about `ops` ops.
+    fn with_capacity(ops: usize) -> Columns {
+        Columns {
+            jumps: Vec::with_capacity(ops / 2),
+            ranks: Vec::with_capacity(ops.div_ceil(BLOCK)),
+            ..Columns::default()
+        }
+    }
+
     #[inline(always)]
     fn push(&mut self, op: DynOp) {
-        let mut f = 0;
+        let i = self.len;
+        if i.is_multiple_of(BLOCK) {
+            self.ranks.push(Rank {
+                mems: self.mem_addr.len() as u64,
+                brs: self.br_target.len() as u64,
+                jumps: self.jumps.len() as u64,
+                base: op.sidx,
+                ..Rank::default()
+            });
+        }
+        let r = self.ranks.last_mut().expect("a block per 64 ops");
+        let at = 1u64 << (i % BLOCK);
+        if self.next != Some(op.sidx) {
+            r.jump_bits |= at;
+            self.jumps.push(op.sidx);
+        }
+        self.next = op.sidx.checked_add(1);
         if let Some(m) = op.mem {
-            f |= F_MEM | if m.store { F_STORE } else { 0 };
+            r.mem_bits |= at;
+            r.store_bits |= if m.store { at } else { 0 };
             self.mem_addr.push(m.addr);
             self.mem_width.push(m.width);
         }
         if let Some(b) = op.br {
-            f |= F_BR | if b.taken { F_TAKEN } else { 0 };
+            r.br_bits |= at;
+            r.taken_bits |= if b.taken { at } else { 0 };
             let t = u32::try_from(b.target).unwrap_or(WIDE_TARGET);
             if t == WIDE_TARGET {
-                self.wide_targets.push((self.sidx.len(), b.target));
+                self.wide_targets.push((i, b.target));
             }
             self.br_target.push(t);
         }
-        self.sidx.push(op.sidx);
-        self.flags.push(f);
+        self.len += 1;
     }
 
     fn finish(self, insts: u64) -> Trace {
         Trace {
-            ranks: rank_directory(&self.flags),
-            sidx: self.sidx.into(),
-            flags: self.flags.into(),
+            len: self.len,
+            jumps: self.jumps.into(),
             mem_addr: self.mem_addr.into(),
             mem_width: self.mem_width.into(),
             br_target: self.br_target.into(),
             wide_targets: self.wide_targets.into(),
+            ranks: self.ranks.into(),
             insts,
         }
     }
@@ -285,32 +390,42 @@ impl FromIterator<DynOp> for Trace {
 /// all little-endian:
 ///
 /// 1. the op count `n` (`u64`);
-/// 2. the `sidx` column: `n` × `u32`;
-/// 3. the flag column: `n` bytes of mem/store/br/taken bits;
-/// 4. the mem side column, one entry per op with the mem flag: their
-///    addresses (`u64` each), then their widths (`u8` each);
-/// 5. the branch-target side column, one `u32` per op with the br flag;
+/// 2. per 64-op block, five `u64` bitsets: jump, mem, store, br, taken;
+/// 3. the jump column: its length, then one `u32` static index per jump;
+/// 4. the mem side column: its length, then the addresses (`u64` each),
+///    then the widths (`u8` each);
+/// 5. the branch-target side column: its length, then one `u32` each;
 /// 6. the represented-instruction count (`u64`).
 ///
-/// Every column is fixed-width, so decoding checks each column's length
-/// once and copies it in bulk; the rank directory is rebuilt from the
-/// flags. Malformed input — a truncated column, unknown flag bits, a
-/// store or taken bit without its mem or br bit, a width other than
-/// 1/2/4/8, a reserved branch target — is a [`WireError`], never a panic.
-/// Cached traces are *prefixes* of the committed path — the recording
-/// budget is part of the cache key, so a quick-mode prefix is never
-/// confused with a full-length trace.
+/// Lengths are `u64`. Every column is fixed-width, so decoding checks each
+/// column's length once and copies it in bulk; the directory's counts and
+/// block bases are rebuilt from the bitsets and the jump column. Decoding
+/// accepts only the bytes [`Wire::put`] writes: a truncated column, a bit
+/// past `n`, a store or taken bit without its mem or br bit, a side-column
+/// length other than its bitset's popcount, an op 0 that is not a jump, a
+/// jump to its predecessor's index plus one, a run of indices past
+/// `u32::MAX`, a width other than 1/2/4/8 or a reserved branch target is
+/// a [`WireError`], never a panic. Cached traces are *prefixes* of the
+/// committed path — the recording budget is part of the cache key, so a
+/// quick-mode prefix is never confused with a full-length trace.
 impl Wire for Trace {
     fn put(&self, w: &mut Writer) {
-        w.u64(self.len() as u64);
-        for &s in self.sidx.iter() {
+        w.u64(self.len as u64);
+        for r in self.ranks.iter() {
+            for bits in [r.jump_bits, r.mem_bits, r.store_bits, r.br_bits, r.taken_bits] {
+                w.u64(bits);
+            }
+        }
+        w.u64(self.jumps.len() as u64);
+        for &s in self.jumps.iter() {
             w.u32(s);
         }
-        w.raw(&self.flags);
+        w.u64(self.mem_addr.len() as u64);
         for &a in self.mem_addr.iter() {
             w.u64(a);
         }
         w.raw(&self.mem_width);
+        w.u64(self.br_target.len() as u64);
         for &t in self.br_target.iter() {
             w.u32(t);
         }
@@ -318,28 +433,93 @@ impl Wire for Trace {
     }
 
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let n = r.seq_len()?;
-        let sidx = r.raw(n.checked_mul(4).ok_or(WireError::BadValue)?)?;
-        let flags = r.raw(n)?;
-        let (mut n_mem, mut n_br) = (0usize, 0usize);
-        for &f in flags {
-            let known = f & !(F_MEM | F_STORE | F_BR | F_TAKEN) == 0;
-            let store_ok = f & F_STORE == 0 || f & F_MEM != 0;
-            let taken_ok = f & F_TAKEN == 0 || f & F_BR != 0;
-            if !(known && store_ok && taken_ok) {
-                return Err(WireError::BadTag(f));
+        let le32 = |c: &[u8]| u32::from_le_bytes(c.try_into().expect("4-byte chunk"));
+        let le64 = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+        // A side column's length, which must be its bitset's popcount.
+        let column = |r: &mut Reader<'_>, count: u64| -> Result<usize, WireError> {
+            match r.seq_len()? {
+                n if n as u64 == count => Ok(n),
+                _ => Err(WireError::BadValue),
             }
-            n_mem += (f & F_MEM != 0) as usize;
-            n_br += (f & F_BR != 0) as usize;
+        };
+
+        let n = r.seq_len()?;
+        let words = r.raw(n.div_ceil(BLOCK).checked_mul(40).ok_or(WireError::BadValue)?)?;
+        // The bits of block `b` that stand for ops: all but past `n`.
+        let live = |b: usize| if (b + 1) * BLOCK > n { below(n) } else { u64::MAX };
+        let (mut mems, mut brs, mut jumps) = (0, 0, 0);
+        let mut ranks = words
+            .chunks_exact(40)
+            .enumerate()
+            .map(|(b, c)| {
+                let [jump_bits, mem_bits, store_bits, br_bits, taken_bits] =
+                    [0, 1, 2, 3, 4].map(|k| le64(&c[8 * k..8 * k + 8]));
+                let stray = (jump_bits | mem_bits | br_bits) & !live(b);
+                if stray != 0 || store_bits & !mem_bits != 0 || taken_bits & !br_bits != 0 {
+                    return Err(WireError::BadValue);
+                }
+                let r = Rank {
+                    mems,
+                    brs,
+                    jumps,
+                    mem_bits,
+                    store_bits,
+                    br_bits,
+                    taken_bits,
+                    jump_bits,
+                    base: 0,
+                };
+                mems += u64::from(mem_bits.count_ones());
+                brs += u64::from(br_bits.count_ones());
+                jumps += u64::from(jump_bits.count_ones());
+                Ok(r)
+            })
+            .collect::<Result<Box<[Rank]>, _>>()?;
+        if ranks.first().is_some_and(|r| r.jump_bits & 1 == 0) {
+            return Err(WireError::BadValue);
         }
-        let addrs = r.raw(n_mem * 8)?;
+
+        let n_jumps = column(r, jumps)?;
+        let jumps: Box<[u32]> = r.raw(4 * n_jumps)?.chunks_exact(4).map(le32).collect();
+        // Each block's base, and the canonical-run rules: `run` is the
+        // first op of the current run of consecutive indices and its
+        // index, widened so a run past `u32::MAX` shows.
+        let (mut run, mut k) = ((0usize, 0u64), 0);
+        let at = |run: (usize, u64), op: usize| run.1 + (op - run.0) as u64;
+        for (b, rank) in ranks.iter_mut().enumerate() {
+            let first = b * BLOCK;
+            rank.base = if rank.jump_bits & 1 != 0 {
+                jumps[k]
+            } else {
+                u32::try_from(at(run, first)).map_err(|_| WireError::BadValue)?
+            };
+            let mut bits = rank.jump_bits;
+            while bits != 0 {
+                let op = first + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let s = jumps[k];
+                k += 1;
+                if op > 0
+                    && (at(run, op) == u64::from(s) || at(run, op - 1) > u64::from(u32::MAX))
+                {
+                    return Err(WireError::BadValue);
+                }
+                run = (op, u64::from(s));
+            }
+        }
+        if n > 0 && at(run, n - 1) > u64::from(u32::MAX) {
+            return Err(WireError::BadValue);
+        }
+
+        let n_mem = column(r, mems)?;
+        let addrs = r.raw(8 * n_mem)?;
         let widths = r.raw(n_mem)?;
-        let targets = r.raw(n_br * 4)?;
+        let n_br = column(r, brs)?;
+        let targets = r.raw(4 * n_br)?;
         let insts = r.u64()?;
         if !widths.iter().all(|w| matches!(w, 1 | 2 | 4 | 8)) {
             return Err(WireError::BadValue);
         }
-        let le32 = |c: &[u8]| u32::from_le_bytes(c.try_into().expect("4-byte chunk"));
         let br_target = targets
             .chunks_exact(4)
             .map(|t| match le32(t) {
@@ -348,16 +528,13 @@ impl Wire for Trace {
             })
             .collect::<Result<_, _>>()?;
         Ok(Trace {
-            sidx: sidx.chunks_exact(4).map(le32).collect(),
-            flags: flags.into(),
-            mem_addr: addrs
-                .chunks_exact(8)
-                .map(|a| u64::from_le_bytes(a.try_into().expect("8-byte chunk")))
-                .collect(),
+            len: n,
+            jumps,
+            mem_addr: addrs.chunks_exact(8).map(le64).collect(),
             mem_width: widths.into(),
             br_target,
             wide_targets: Box::default(),
-            ranks: rank_directory(flags),
+            ranks,
             insts,
         })
     }
@@ -413,17 +590,12 @@ pub fn record_trace(
                 self.cols.push(DynOp { sidx: pc as u32, mem, br });
             }
             self.insts += represents as u64;
-            (self.cols.sidx.len() as u64) < self.max_ops
+            (self.cols.len as u64) < self.max_ops
         }
     }
-    let reserve = max_ops.min(TRACE_RESERVE_CAP) as usize;
     let mut rec = Recorder {
         prog,
-        cols: Columns {
-            sidx: Vec::with_capacity(reserve),
-            flags: Vec::with_capacity(reserve),
-            ..Columns::default()
-        },
+        cols: Columns::with_capacity(max_ops.min(TRACE_RESERVE_CAP) as usize),
         insts: 0,
         max_ops,
         mem: None,
@@ -466,6 +638,10 @@ mod tests {
         assert!(b1.br.unwrap().taken);
         let b2 = t.op(9);
         assert!(!b2.br.unwrap().taken);
+        // Only op 0 and the loop's back edge jump.
+        let sidx: Vec<u32> = t.iter().map(|o| o.sidx).collect();
+        assert_eq!(sidx, [0, 1, 2, 3, 4, 5, 2, 3, 4, 5, 6]);
+        assert_eq!(&*t.jumps, [0, 2]);
     }
 
     #[test]
@@ -487,11 +663,12 @@ mod tests {
         assert!(mg_isa::wire::from_bytes::<Trace>(&bytes[..bytes.len() - 3]).is_err());
     }
 
-    /// A trace exercising every flag combination: plain ops, loads and
-    /// stores of each width, taken and not-taken branches.
+    /// A trace exercising every flag combination (plain ops, loads and
+    /// stores of each width, taken and not-taken branches) and both kinds
+    /// of op: runs of consecutive indices and jumps.
     fn mixed_ops() -> Vec<DynOp> {
         let mut ops = Vec::new();
-        for i in 0..40u32 {
+        for i in 0..80u32 {
             let mem = (i % 3 != 0).then(|| MemRef {
                 addr: 0x1000 + 8 * i as u64,
                 width: [1, 2, 4, 8][i as usize % 4],
@@ -499,7 +676,9 @@ mod tests {
             });
             let br =
                 (i % 5 == 0).then_some(BrRec { taken: i % 10 == 0, target: i as usize * 3 });
-            ops.push(DynOp { sidx: i * 7, mem, br });
+            let sidx =
+                if i % 4 == 0 { i * 7 } else { ops.last().map_or(0, |o: &DynOp| o.sidx + 1) };
+            ops.push(DynOp { sidx, mem, br });
         }
         ops
     }
@@ -518,17 +697,86 @@ mod tests {
         mg_isa::wire::from_bytes(bytes)
     }
 
+    /// Byte offsets of `t`'s encoding: the bitset words, each side
+    /// column's length word, and the widths.
+    struct Layout {
+        jumps_at: usize,
+        mems_at: usize,
+        widths_at: usize,
+        brs_at: usize,
+    }
+
+    const JUMP: usize = 0;
+    const MEM: usize = 1;
+    const STORE: usize = 2;
+    const BR: usize = 3;
+    const TAKEN: usize = 4;
+
+    /// The offset of bitset `k` of block `b`.
+    fn word_at(b: usize, k: usize) -> usize {
+        8 + 40 * b + 8 * k
+    }
+
+    fn layout(t: &Trace) -> Layout {
+        let jumps_at = word_at(t.ranks.len(), 0);
+        let mems_at = jumps_at + 8 + 4 * t.jumps.len();
+        let widths_at = mems_at + 8 + 8 * t.mem_addr.len();
+        let brs_at = widths_at + t.mem_width.len();
+        Layout { jumps_at, mems_at, widths_at, brs_at }
+    }
+
+    fn set_u32(b: &mut [u8], at: usize, v: u32) {
+        b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    fn get_u64(b: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(b[at..at + 8].try_into().unwrap())
+    }
+
+    fn set_u64(b: &mut [u8], at: usize, v: u64) {
+        b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// `bytes` with bit `i` of bitset `k` flipped.
+    fn flip(bytes: &[u8], i: usize, k: usize) -> Vec<u8> {
+        let mut b = bytes.to_vec();
+        let at = word_at(i / BLOCK, k);
+        let w = get_u64(&b, at) ^ 1 << (i % BLOCK);
+        set_u64(&mut b, at, w);
+        b
+    }
+
+    /// `ops`' encoding with jump `k`'s index replaced by `sidx`.
+    fn with_jump(ops: &[DynOp], k: usize, sidx: u32) -> Vec<u8> {
+        let t = trace_of(ops);
+        let mut b = mg_isa::wire::to_bytes(&t);
+        set_u32(&mut b, layout(&t).jumps_at + 8 + 4 * k, sidx);
+        b
+    }
+
+    /// Plain ops with the given static indices.
+    fn plain(sidx: impl IntoIterator<Item = u32>) -> Vec<DynOp> {
+        sidx.into_iter().map(|sidx| DynOp { sidx, mem: None, br: None }).collect()
+    }
+
     #[test]
     fn columnar_codec_round_trips_every_flag_combination() {
         let t = mixed_trace();
         let bytes = mg_isa::wire::to_bytes(&t);
-        let n = t.len();
+        let blocks = t.len().div_ceil(BLOCK);
+        let jumps = t.jumps.len();
         let mems = t.iter().filter(|o| o.mem.is_some()).count();
         let brs = t.iter().filter(|o| o.br.is_some()).count();
-        assert_eq!(bytes.len(), 8 + 5 * n + 9 * mems + 4 * brs + 8, "columnar layout size");
+        assert_eq!(jumps, 20, "one jump every 4 ops");
+        assert_eq!(
+            bytes.len(),
+            8 + 40 * blocks + 8 + 4 * jumps + 8 + 9 * mems + 8 + 4 * brs + 8,
+            "columnar layout size"
+        );
         let back = decode(&bytes).unwrap();
         assert_eq!(back, t);
         assert!(back.iter().eq(mixed_ops()));
+        assert!((0..t.len()).all(|i| back.op(i) == mixed_ops()[i]));
         assert_eq!(mg_isa::wire::to_bytes(&back), bytes, "re-encodes identically");
         let empty = Trace::default();
         assert_eq!(decode(&mg_isa::wire::to_bytes(&empty)).unwrap().len(), 0);
@@ -538,22 +786,15 @@ mod tests {
     fn malformed_columns_are_wire_errors_not_panics() {
         let t = mixed_trace();
         let bytes = mg_isa::wire::to_bytes(&t);
-        let n = t.len();
-        let flags_at = 8 + 4 * n;
+        let at = layout(&t);
 
         // Truncated anywhere — inside any column or the trailing count.
         for cut in 0..bytes.len() {
             assert!(decode(&bytes[..cut]).is_err(), "cut at {cut} decoded");
         }
 
-        // Unknown flag bits, and store/taken bits without mem/br.
-        for bad in [0x10u8, 0x80, F_STORE, F_TAKEN, F_STORE | F_BR] {
-            let mut b = bytes.clone();
-            b[flags_at] = bad;
-            assert_eq!(decode(&b).unwrap_err(), WireError::BadTag(bad), "flag {bad:#x}");
-        }
-
-        // A length whose 4·n overflows, and one that is merely huge.
+        // A length whose 40·⌈n/64⌉ runs past the input, and one that is
+        // merely huge.
         for len in [u64::MAX / 4 + 1, u64::MAX, 1 << 32] {
             let mut b = bytes.clone();
             b[..8].copy_from_slice(&len.to_le_bytes());
@@ -561,10 +802,91 @@ mod tests {
         }
 
         // A mem width that no access has.
-        let mems = t.iter().filter(|o| o.mem.is_some()).count();
         let mut b = bytes.clone();
-        b[flags_at + n + 8 * mems] = 3;
+        b[at.widths_at] = 3;
         assert_eq!(decode(&b).unwrap_err(), WireError::BadValue);
+    }
+
+    #[test]
+    fn bitsets_must_be_canonical() {
+        let ops = mixed_ops();
+        let t = trace_of(&ops);
+        let bytes = mg_isa::wire::to_bytes(&t);
+        let n = t.len();
+        assert_ne!(n % BLOCK, 0, "the last block has bits past n");
+
+        // Any bit past n, in any bitset (a stray store or taken bit comes
+        // with its mem or br bit, so only the past-n rule can reject it).
+        for past in [n, BLOCK * 2 - 1] {
+            for k in [JUMP, MEM, BR] {
+                let b = flip(&bytes, past, k);
+                assert_eq!(decode(&b).unwrap_err(), WireError::BadValue, "bit {past} of {k}");
+            }
+            let b = flip(&flip(&bytes, past, MEM), past, STORE);
+            assert_eq!(decode(&b).unwrap_err(), WireError::BadValue, "store bit {past}");
+            let b = flip(&flip(&bytes, past, BR), past, TAKEN);
+            assert_eq!(decode(&b).unwrap_err(), WireError::BadValue, "taken bit {past}");
+        }
+
+        // A store bit without its mem bit, and a taken bit without its br
+        // bit.
+        let plain_op = ops.iter().position(|o| o.mem.is_none()).unwrap();
+        assert_eq!(decode(&flip(&bytes, plain_op, STORE)).unwrap_err(), WireError::BadValue);
+        let no_br = ops.iter().position(|o| o.br.is_none()).unwrap();
+        assert_eq!(decode(&flip(&bytes, no_br, TAKEN)).unwrap_err(), WireError::BadValue);
+
+        // Op 0 not marked as a jump.
+        assert_eq!(decode(&flip(&bytes, 0, JUMP)).unwrap_err(), WireError::BadValue);
+    }
+
+    #[test]
+    fn side_column_lengths_must_match_the_popcounts() {
+        let t = mixed_trace();
+        let bytes = mg_isa::wire::to_bytes(&t);
+        let at = layout(&t);
+        for (what, len_at) in [("jumps", at.jumps_at), ("mems", at.mems_at), ("brs", at.brs_at)]
+        {
+            let len = get_u64(&bytes, len_at);
+            assert!(len > 0, "{what}: a non-empty column");
+            for wrong in [len - 1, len + 1] {
+                let mut b = bytes.clone();
+                set_u64(&mut b, len_at, wrong);
+                assert_eq!(decode(&b).unwrap_err(), WireError::BadValue, "{what} = {wrong}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_jump_to_the_next_index_is_not_canonical() {
+        // Ops 0..3 run from 5, op 3 jumps to 20. Jump 1 holding 8 — the
+        // index op 3 has without a jump — is a second encoding of a
+        // 4-op run, so it does not decode.
+        let ops = plain([5, 6, 7, 20, 21]);
+        assert!(decode(&with_jump(&ops, 1, 9)).is_ok(), "any other index is a jump");
+        assert_eq!(decode(&with_jump(&ops, 1, 8)).unwrap_err(), WireError::BadValue);
+
+        // The same at a block's first op, where the index without a jump
+        // is the previous block's run carried over.
+        let ops = plain((0..64).chain([100, 101]));
+        assert_eq!(decode(&with_jump(&ops, 1, 64)).unwrap_err(), WireError::BadValue);
+        assert!(decode(&with_jump(&ops, 1, 65)).is_ok());
+    }
+
+    #[test]
+    fn a_run_past_u32_max_is_a_wire_error() {
+        let max = u32::MAX;
+        // A run that ends at the last op, one that a later jump ends, and
+        // one that crosses into the next block.
+        for (ops, legal) in [
+            (plain([max - 1, max]), max - 1),
+            (plain([max - 1, max, 3]), max - 1),
+            (plain((max - 64..=max).chain([0])), max - 64),
+        ] {
+            let t = trace_of(&ops);
+            assert_eq!(decode(&mg_isa::wire::to_bytes(&t)).unwrap(), t, "ends at u32::MAX");
+            let b = with_jump(&ops, 0, legal + 1);
+            assert_eq!(decode(&b).unwrap_err(), WireError::BadValue, "{} ops", ops.len());
+        }
     }
 
     #[test]
@@ -574,6 +896,7 @@ mod tests {
         ops[last].br = Some(BrRec { taken: true, target: u32::MAX as usize + 1 });
         let t = trace_of(&ops);
         assert_eq!(t.br(last), ops[last].br, "exact in memory");
+        assert!(t.iter().eq(ops.iter().copied()), "exact through the cursor");
         // Encoding never panics; the reserved target makes the bytes a
         // decode error (a cache miss), never a truncated target.
         let bytes = mg_isa::wire::to_bytes(&t);

@@ -38,8 +38,9 @@ use mg_isa::wire::{Reader, Wire, WireError, Writer};
 /// [`Response::Expired`], the `drain` flag on [`Request::Shutdown`], and
 /// downward negotiation to [`MIN_PROTOCOL_VERSION`]; v4 pairs with cache
 /// schema 2 (columnar trace codec, word-wide checksum) and changes no
-/// frame layout.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// frame layout; v5 pairs with cache schema 3 (trace indices stored only
+/// at jumps) and changes no frame layout.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Oldest client version the server still speaks (see the module docs'
 /// versioning section). Clients older than this are rejected with an

@@ -305,13 +305,16 @@ impl Rob {
 }
 
 /// The struct-of-arrays front-end queue: fetched operations waiting out
-/// the decode pipeline before dispatch.
+/// the decode pipeline before dispatch. Fetch decodes each op's static
+/// index once and carries it here, so dispatch never re-derives it from
+/// the trace.
 pub(crate) struct FrontQ {
     cap: usize,
     mask: usize,
     head: usize,
     len: usize,
     pub(crate) trace_idx: Box<[u32]>,
+    pub(crate) sidx: Box<[u32]>,
     pub(crate) ready_at: Box<[u64]>,
     pub(crate) pred_token: Box<[u32]>,
     pub(crate) mispredicted: Box<[bool]>,
@@ -328,6 +331,7 @@ impl FrontQ {
             head: 0,
             len: 0,
             trace_idx: vec![0; cap].into(),
+            sidx: vec![0; cap].into(),
             ready_at: vec![0; cap].into(),
             pred_token: vec![0; cap].into(),
             mispredicted: vec![false; cap].into(),
@@ -354,6 +358,7 @@ impl FrontQ {
     pub(crate) fn push_back(
         &mut self,
         trace_idx: u32,
+        sidx: u32,
         ready_at: u64,
         mispredicted: bool,
         pred_taken: bool,
@@ -363,6 +368,7 @@ impl FrontQ {
         let slot = (self.head + self.len) & self.mask;
         self.len += 1;
         self.trace_idx[slot] = trace_idx;
+        self.sidx[slot] = sidx;
         self.ready_at[slot] = ready_at;
         self.pred_token[slot] = pred_token;
         self.mispredicted[slot] = mispredicted;

@@ -6,7 +6,8 @@
 //! Static-instruction properties (kind, control class, operands,
 //! represented-instruction counts) come from the shared predecode plane
 //! (`decode::Predecode`), so neither stage touches `Inst` on the hot
-//! path.
+//! path. Fetch reads each op's static index from the trace once and
+//! carries it to dispatch in the front queue's `sidx` lane.
 
 use super::decode::{Ctrl, NO_REG};
 use super::entries::{Kind, RobPush, NO_PREG, NO_WAIT};
@@ -30,7 +31,7 @@ impl Simulator<'_> {
             let mispredicted = self.frontq.mispredicted[f];
             let pred_taken = self.frontq.pred_taken[f];
             let pred_token = self.frontq.pred_token[f];
-            let sidx = self.trace.sidx(trace_idx) as usize;
+            let sidx = self.frontq.sidx[f] as usize;
             let flags = self.trace.flags(trace_idx);
             let kind = self.pd.kind[sidx];
             let is_load = flags.load();
@@ -166,6 +167,7 @@ impl Simulator<'_> {
             let (mispredicted, pred_taken, pred_token) = self.predict(sidx, addr, br);
             self.frontq.push_back(
                 self.fetch_ptr as u32,
+                sidx as u32,
                 self.now + self.cfg.frontend_depth as u64,
                 mispredicted,
                 pred_taken,
