@@ -187,9 +187,10 @@ fn check_jumps(sidx: &[u32], want_jumps: usize, what: &str) {
 
 #[test]
 fn the_jump_column_holds_exactly_the_jumps() {
-    // One run across four blocks: only op 0 stores an index.
+    // One run across four blocks: only each block's first op (0, 64,
+    // 128, 192) stores an index.
     let run: Vec<u32> = (1000..1000 + 200).collect();
-    check_jumps(&run, 1, "one 200-op run");
+    check_jumps(&run, 4, "one 200-op run");
 
     // Jumps on both sides of each block edge, and at a block's last op
     // after a jump on the op before it.
@@ -199,7 +200,8 @@ fn the_jump_column_holds_exactly_the_jumps() {
         let jump = i == 0 || edges.contains(&i);
         sidx.push(if jump { 10_000 * (i + 1) } else { sidx[i as usize - 1] + 1 });
     }
-    check_jumps(&sidx, 1 + edges.len(), "jumps at 62, 63, 64, 65, 127, 128");
+    // Ops 64 and 128 start blocks anyway; op 192 adds one.
+    check_jumps(&sidx, 1 + edges.len() + 1, "jumps at 62, 63, 64, 65, 127, 128");
 
     // Every op a jump.
     let every: Vec<u32> = (0..150).map(|i| (i * 7) % 101 + 3 * (i % 2)).collect();
@@ -211,10 +213,11 @@ fn the_jump_column_holds_exactly_the_jumps() {
     // A self-loop: the same index over and over is a jump every time.
     check_jumps(&[42; 130], 130, "self-loop");
 
-    // A run that ends exactly at u32::MAX, then index 0: the successor
-    // of u32::MAX does not wrap into a run.
+    // A run that ends exactly at u32::MAX (op 99), then index 0: the
+    // successor of u32::MAX does not wrap into a run. Ops 0, 64, 100 and
+    // 128 jump.
     let top: Vec<u32> = (u32::MAX - 99..=u32::MAX).chain(0..40).collect();
-    check_jumps(&top, 2, "run ending at u32::MAX, then 0");
+    check_jumps(&top, 4, "run ending at u32::MAX, then 0");
 }
 
 #[test]
@@ -234,13 +237,14 @@ fn branch_targets_are_exact_in_memory_and_narrowed_only_on_the_wire() {
     );
 }
 
-/// Ops whose static index is not the previous op's plus one (op 0
-/// always): the only ops that store an index.
+/// Each 64-op block's first op, and the ops whose static index is not
+/// the previous op's plus one: the only ops that store an index.
 fn jumps(t: &Trace) -> usize {
     let mut next = None;
     t.iter()
-        .filter(|o| {
-            let jump = next != Some(o.sidx);
+        .enumerate()
+        .filter(|&(i, o)| {
+            let jump = i % 64 == 0 || next != Some(o.sidx);
             next = o.sidx.checked_add(1);
             jump
         })
@@ -248,20 +252,20 @@ fn jumps(t: &Trace) -> usize {
 }
 
 /// The exact heap cost of a trace's columns and rank directory: 9 bytes
-/// per memory op, 4 per branch, 4 per jump and a 72-byte directory entry
+/// per memory op, 4 per branch, 4 per jump and a 64-byte directory entry
 /// per 64 ops.
 fn footprint(t: &Trace) -> usize {
     let mems = t.iter().filter(|o| o.mem.is_some()).count();
     let brs = t.iter().filter(|o| o.br.is_some()).count();
     let blocks = t.len().div_ceil(64);
-    (8 + 1) * mems + 4 * brs + 4 * jumps(t) + 72 * blocks
+    (8 + 1) * mems + 4 * brs + 4 * jumps(t) + 64 * blocks
 }
 
 /// Every registry workload's quick traces (reference input,
 /// `QUICK_MAX_OPS`): the base trace and the four int/intmem images. Each
 /// must cost exactly the column formula, and together they must average
 /// at most 6.5 B/op. One dense image may cost more on its own (an intmem
-/// image whose handles are mostly loads and branches reaches 11.5 B/op);
+/// image whose handles are mostly loads and branches reaches 11.3 B/op);
 /// a per-op `sidx` column (8.95 B/op over this set) fails the average.
 #[test]
 fn heap_bytes_is_the_column_formula_on_every_registry_quick_trace() {

@@ -7,14 +7,14 @@
 //! paper's execution-driven SimpleScalar setup (see `DESIGN.md` §2).
 //!
 //! A [`Trace`] holds one layout on disk and in memory. The static index
-//! is stored only where the committed path *jumps* (op 0, and any op
-//! whose index is not its predecessor's plus one); every other op's index
-//! follows from the last jump. Side columns hold the memory ops' addresses
-//! and widths and the branches' targets. A rank directory keeps, per 64
-//! ops, bitsets of which ops jump, touch memory, store, branch and are
-//! taken, plus the counts that find an op's entry in each side column in
-//! O(1). The persistent cache writes the same columns ([`Wire`]), so
-//! loading a cached trace is a bulk copy.
+//! is stored only at *jumps*: each 64-op block's first op, and any op
+//! whose index is not its predecessor's plus one; every other op's index
+//! follows from the last jump in its block. Side columns hold the memory
+//! ops' addresses and widths and the branches' targets. A rank directory
+//! keeps, per 64 ops, bitsets of which ops jump, touch memory, store,
+//! branch and are taken, plus the counts that find an op's entry in each
+//! side column in O(1). The persistent cache writes the same columns
+//! ([`Wire`]), so loading a cached trace is a bulk copy.
 
 use mg_isa::exec::{run, BrRec, CpuState, ExecError, MemRef, StepSink};
 use mg_isa::wire::{Reader, Wire, WireError, Writer};
@@ -65,9 +65,9 @@ impl OpFlags {
 }
 
 /// The rank directory's entry for one block of 64 ops: how many memory
-/// ops, branches and jumps precede the block, the block's first static
-/// index, and which of its ops are which. A store bit is only ever set
-/// with its mem bit, and a taken bit with its br bit.
+/// ops, branches and jumps precede the block, and which of its ops are
+/// which. The block's first op is always a jump; a store bit is only ever
+/// set with its mem bit, and a taken bit with its br bit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Rank {
     mems: u64,
@@ -78,7 +78,6 @@ struct Rank {
     br_bits: u64,
     taken_bits: u64,
     jump_bits: u64,
-    base: u32,
 }
 
 /// The branch-target column is `u32` (instruction indices, like `sidx`);
@@ -112,21 +111,19 @@ fn bit(bits: u64, i: usize) -> bool {
 
 /// A committed-path dynamic trace, stored as columns.
 ///
-/// Per jump (op 0, and each op whose static index is not its
-/// predecessor's plus one): a `u32` static index. Per memory op: a `u64`
-/// address and a `u8` width. Per branch: a `u32` target, where a
+/// Per jump (each block's first op, and each op whose static index is
+/// not its predecessor's plus one): a `u32` static index. Per memory op:
+/// a `u64` address and a `u8` width. Per branch: a `u32` target, where a
 /// reserved value defers to an exact side table for the (in practice
-/// never seen) targets that do not fit. Per 64 ops: a 72-byte
-/// rank-directory entry with the jump, mem, store, br and taken bitsets,
-/// the jump, memory-op and branch counts before the block, and the
-/// block's first static index, so the accessors reach any op's fields in
-/// O(1). Each column is a boxed slice, so a trace allocates exactly what
-/// it holds ([`Trace::heap_bytes`]).
+/// never seen) targets that do not fit. Per 64 ops: a 64-byte
+/// rank-directory entry with the jump, mem, store, br and taken bitsets
+/// and the jump, memory-op and branch counts before the block, so the
+/// accessors reach any op's fields in O(1). Each column is a boxed slice,
+/// so a trace allocates exactly what it holds ([`Trace::heap_bytes`]).
 ///
 /// The simulator reads the columns it needs through [`Trace::sidx`],
 /// [`Trace::flags`], [`Trace::mem`] and [`Trace::br`]; [`Trace::op`]
-/// rebuilds a whole [`DynOp`] for everyone else, and [`Trace::iter`]
-/// decodes them in order with a cursor.
+/// and [`Trace::iter`] rebuild whole [`DynOp`]s for everyone else.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Trace {
     len: usize,
@@ -157,19 +154,15 @@ impl Trace {
     }
 
     /// The static instruction index of op `i`: the last jump at or
-    /// before `i` in its block plus the distance to it, or, with no such
-    /// jump, the block's first index plus `i`'s offset.
+    /// before `i` in its block (there is always one, at the block's first
+    /// op) plus the distance to it.
     #[inline]
     pub fn sidx(&self, i: usize) -> u32 {
         let r = self.rank(i);
-        let o = i % BLOCK;
         let jumps = r.jump_bits & upto(i);
-        if jumps == 0 {
-            return r.base + o as u32;
-        }
         let last = (BLOCK - 1) - jumps.leading_zeros() as usize;
         let k = r.jumps as usize + jumps.count_ones() as usize - 1;
-        self.jumps[k] + (o - last) as u32
+        self.jumps[k] + (i % BLOCK - last) as u32
     }
 
     /// The flags of op `i`.
@@ -229,9 +222,9 @@ impl Trace {
         DynOp { sidx: self.sidx(i), mem: self.mem(i), br: self.br(i) }
     }
 
-    /// The ops in commit order, decoded with a cursor into each column.
+    /// The ops in commit order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = DynOp> + '_ {
-        Ops { t: self, i: 0, jump: 0, mem: 0, br: 0, sidx: 0 }
+        (0..self.len).map(move |i| self.op(i))
     }
 
     /// Bytes the trace holds on the heap: its columns and its rank
@@ -246,57 +239,6 @@ impl Trace {
     }
 }
 
-/// [`Trace::iter`]'s cursor: the next op, its next entry in each column,
-/// and the previous op's static index.
-struct Ops<'t> {
-    t: &'t Trace,
-    i: usize,
-    jump: usize,
-    mem: usize,
-    br: usize,
-    sidx: u32,
-}
-
-impl Iterator for Ops<'_> {
-    type Item = DynOp;
-
-    #[inline]
-    fn next(&mut self) -> Option<DynOp> {
-        let (t, i) = (self.t, self.i);
-        if i == t.len {
-            return None;
-        }
-        self.i += 1;
-        let r = &t.ranks[i / BLOCK];
-        self.sidx = if bit(r.jump_bits, i) {
-            let s = t.jumps[self.jump];
-            self.jump += 1;
-            s
-        } else {
-            self.sidx + 1
-        };
-        let mem = bit(r.mem_bits, i).then(|| {
-            let j = self.mem;
-            self.mem += 1;
-            MemRef { addr: t.mem_addr[j], width: t.mem_width[j], store: bit(r.store_bits, i) }
-        });
-        let br = bit(r.br_bits, i).then(|| {
-            let j = self.br;
-            self.br += 1;
-            BrRec { taken: bit(r.taken_bits, i), target: t.target(i, t.br_target[j]) }
-        });
-        Some(DynOp { sidx: self.sidx, mem, br })
-    }
-
-    #[inline]
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.t.len - self.i;
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for Ops<'_> {}
-
 /// A trace's columns while they grow.
 #[derive(Default)]
 struct Columns {
@@ -307,8 +249,8 @@ struct Columns {
     br_target: Vec<u32>,
     wide_targets: Vec<(usize, usize)>,
     ranks: Vec<Rank>,
-    /// The static index the next op has without a jump: `None` before
-    /// op 0 and after index `u32::MAX`.
+    /// The static index the next op has without a jump: `None` after
+    /// index `u32::MAX`.
     next: Option<u32>,
 }
 
@@ -325,18 +267,18 @@ impl Columns {
     #[inline(always)]
     fn push(&mut self, op: DynOp) {
         let i = self.len;
-        if i.is_multiple_of(BLOCK) {
+        let first = i.is_multiple_of(BLOCK);
+        if first {
             self.ranks.push(Rank {
                 mems: self.mem_addr.len() as u64,
                 brs: self.br_target.len() as u64,
                 jumps: self.jumps.len() as u64,
-                base: op.sidx,
                 ..Rank::default()
             });
         }
         let r = self.ranks.last_mut().expect("a block per 64 ops");
         let at = 1u64 << (i % BLOCK);
-        if self.next != Some(op.sidx) {
+        if first || self.next != Some(op.sidx) {
             r.jump_bits |= at;
             self.jumps.push(op.sidx);
         }
@@ -398,12 +340,12 @@ impl FromIterator<DynOp> for Trace {
 /// 6. the represented-instruction count (`u64`).
 ///
 /// Lengths are `u64`. Every column is fixed-width, so decoding checks each
-/// column's length once and copies it in bulk; the directory's counts and
-/// block bases are rebuilt from the bitsets and the jump column. Decoding
-/// accepts only the bytes [`Wire::put`] writes: a truncated column, a bit
-/// past `n`, a store or taken bit without its mem or br bit, a side-column
-/// length other than its bitset's popcount, an op 0 that is not a jump, a
-/// jump to its predecessor's index plus one, a run of indices past
+/// column's length once and copies it in bulk; the directory's counts are
+/// rebuilt from the bitsets. Decoding accepts only the bytes [`Wire::put`]
+/// writes: a truncated column, a bit past `n`, a store or taken bit
+/// without its mem or br bit, a side-column length other than its
+/// bitset's popcount, a block whose first op is not a jump, a jump inside
+/// a block to its predecessor's index plus one, a run of indices past
 /// `u32::MAX`, a width other than 1/2/4/8 or a reserved branch target is
 /// a [`WireError`], never a panic. Cached traces are *prefixes* of the
 /// committed path — the recording budget is part of the cache key, so a
@@ -448,14 +390,18 @@ impl Wire for Trace {
         // The bits of block `b` that stand for ops: all but past `n`.
         let live = |b: usize| if (b + 1) * BLOCK > n { below(n) } else { u64::MAX };
         let (mut mems, mut brs, mut jumps) = (0, 0, 0);
-        let mut ranks = words
+        let ranks = words
             .chunks_exact(40)
             .enumerate()
             .map(|(b, c)| {
                 let [jump_bits, mem_bits, store_bits, br_bits, taken_bits] =
                     [0, 1, 2, 3, 4].map(|k| le64(&c[8 * k..8 * k + 8]));
                 let stray = (jump_bits | mem_bits | br_bits) & !live(b);
-                if stray != 0 || store_bits & !mem_bits != 0 || taken_bits & !br_bits != 0 {
+                if stray != 0
+                    || jump_bits & 1 == 0
+                    || store_bits & !mem_bits != 0
+                    || taken_bits & !br_bits != 0
+                {
                     return Err(WireError::BadValue);
                 }
                 let r = Rank {
@@ -467,7 +413,6 @@ impl Wire for Trace {
                     br_bits,
                     taken_bits,
                     jump_bits,
-                    base: 0,
                 };
                 mems += u64::from(mem_bits.count_ones());
                 brs += u64::from(br_bits.count_ones());
@@ -475,33 +420,23 @@ impl Wire for Trace {
                 Ok(r)
             })
             .collect::<Result<Box<[Rank]>, _>>()?;
-        if ranks.first().is_some_and(|r| r.jump_bits & 1 == 0) {
-            return Err(WireError::BadValue);
-        }
 
         let n_jumps = column(r, jumps)?;
         let jumps: Box<[u32]> = r.raw(4 * n_jumps)?.chunks_exact(4).map(le32).collect();
-        // Each block's base, and the canonical-run rules: `run` is the
-        // first op of the current run of consecutive indices and its
-        // index, widened so a run past `u32::MAX` shows.
+        // The canonical-run rules: `run` is the first op of the current
+        // run of consecutive indices and its index, widened so a run past
+        // `u32::MAX` shows. A block's first op may continue the run.
         let (mut run, mut k) = ((0usize, 0u64), 0);
         let at = |run: (usize, u64), op: usize| run.1 + (op - run.0) as u64;
-        for (b, rank) in ranks.iter_mut().enumerate() {
-            let first = b * BLOCK;
-            rank.base = if rank.jump_bits & 1 != 0 {
-                jumps[k]
-            } else {
-                u32::try_from(at(run, first)).map_err(|_| WireError::BadValue)?
-            };
+        for (b, rank) in ranks.iter().enumerate() {
             let mut bits = rank.jump_bits;
             while bits != 0 {
-                let op = first + bits.trailing_zeros() as usize;
+                let op = b * BLOCK + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let s = jumps[k];
                 k += 1;
-                if op > 0
-                    && (at(run, op) == u64::from(s) || at(run, op - 1) > u64::from(u32::MAX))
-                {
+                let continues = !op.is_multiple_of(BLOCK) && at(run, op) == u64::from(s);
+                if op > 0 && (continues || at(run, op - 1) > u64::from(u32::MAX)) {
                     return Err(WireError::BadValue);
                 }
                 run = (op, u64::from(s));
@@ -835,8 +770,10 @@ mod tests {
         let no_br = ops.iter().position(|o| o.br.is_none()).unwrap();
         assert_eq!(decode(&flip(&bytes, no_br, TAKEN)).unwrap_err(), WireError::BadValue);
 
-        // Op 0 not marked as a jump.
-        assert_eq!(decode(&flip(&bytes, 0, JUMP)).unwrap_err(), WireError::BadValue);
+        // A block's first op not marked as a jump: op 0, and op 64.
+        for first in [0, BLOCK] {
+            assert_eq!(decode(&flip(&bytes, first, JUMP)).unwrap_err(), WireError::BadValue);
+        }
     }
 
     #[test]
@@ -865,22 +802,25 @@ mod tests {
         assert!(decode(&with_jump(&ops, 1, 9)).is_ok(), "any other index is a jump");
         assert_eq!(decode(&with_jump(&ops, 1, 8)).unwrap_err(), WireError::BadValue);
 
-        // The same at a block's first op, where the index without a jump
-        // is the previous block's run carried over.
-        let ops = plain((0..64).chain([100, 101]));
-        assert_eq!(decode(&with_jump(&ops, 1, 64)).unwrap_err(), WireError::BadValue);
-        assert!(decode(&with_jump(&ops, 1, 65)).is_ok());
+        // A block's first op is always a jump, so there it may carry the
+        // previous block's run on; the op after it may not.
+        let ops = plain((0..64).chain([100, 200]));
+        assert_eq!(
+            decode(&with_jump(&ops, 1, 64)).unwrap(),
+            trace_of(&plain((0..65).chain([200])))
+        );
+        assert_eq!(decode(&with_jump(&ops, 2, 101)).unwrap_err(), WireError::BadValue);
     }
 
     #[test]
     fn a_run_past_u32_max_is_a_wire_error() {
         let max = u32::MAX;
         // A run that ends at the last op, one that a later jump ends, and
-        // one that crosses into the next block.
+        // one that the next block's first op ends.
         for (ops, legal) in [
             (plain([max - 1, max]), max - 1),
             (plain([max - 1, max, 3]), max - 1),
-            (plain((max - 64..=max).chain([0])), max - 64),
+            (plain((max - 63..=max).chain([0])), max - 63),
         ] {
             let t = trace_of(&ops);
             assert_eq!(decode(&mg_isa::wire::to_bytes(&t)).unwrap(), t, "ends at u32::MAX");
@@ -896,7 +836,7 @@ mod tests {
         ops[last].br = Some(BrRec { taken: true, target: u32::MAX as usize + 1 });
         let t = trace_of(&ops);
         assert_eq!(t.br(last), ops[last].br, "exact in memory");
-        assert!(t.iter().eq(ops.iter().copied()), "exact through the cursor");
+        assert!(t.iter().eq(ops.iter().copied()), "exact through iter");
         // Encoding never panics; the reserved target makes the bytes a
         // decode error (a cache miss), never a truncated target.
         let bytes = mg_isa::wire::to_bytes(&t);
